@@ -1,9 +1,7 @@
 // Dedup-table contention microbench: the lock-free LockfreeMinMap
 // (util/lockfree_set.hpp, the engine under every ParallelVisitor
-// dedup_scan) against the retired mutex-sharded ShardedMinMap, under
-// insert-heavy (mostly fresh keys) and hit-heavy (few keys, endless
-// re-encounters) mixes at 1/4/8/16 threads — the experiment that
-// justifies the visitor core's table choice with numbers.
+// dedup_scan) under insert-heavy (mostly fresh keys) and hit-heavy (few
+// keys, endless re-encounters) mixes at 1/4/8/16 threads.
 //
 // Determinism: the thread sweep is FIXED (1/4/8/16) regardless of
 // --threads, so the work done — and therefore stdout and every work
@@ -14,13 +12,11 @@
 // BENCH_dedup.json.
 #include <cstdint>
 #include <cstdio>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "util/hash_mix.hpp"
 #include "util/lockfree_set.hpp"
 #include "util/parallel.hpp"
-#include "util/sharded.hpp"
 
 namespace {
 
@@ -38,8 +34,8 @@ struct Mix {
 constexpr Mix kMixes[] = {{"insert-heavy", kInserts / 2},
                          {"hit-heavy", 256}};
 
-/// Deterministic insert stream: key of the i-th insert. Mixed so
-/// neither table sees sequential-integer locality for free.
+/// Deterministic insert stream: key of the i-th insert. Mixed so the
+/// table does not see sequential-integer locality for free.
 std::uint64_t key_at(std::uint64_t i, std::uint64_t keyspace) {
   return hash_mix(i % keyspace);
 }
@@ -50,42 +46,21 @@ struct RunResult {
   double ms = 0;
 };
 
-template <typename Fill, typename Harvest>
-RunResult timed_run(int threads, Fill&& fill, Harvest&& harvest) {
-  ThreadPool pool(threads);
-  const benchutil::Timer timer;
-  pool.parallel_for(0, kInserts, fill);
-  RunResult r;
-  r.ms = timer.ms();
-  harvest(r);
-  return r;
-}
-
 RunResult run_lockfree(const Mix& mix, int threads) {
   LockfreeMinMap<std::uint64_t, std::uint64_t> table(
       static_cast<std::size_t>(mix.keyspace));
-  return timed_run(
-      threads,
-      [&](std::uint64_t i) { table.insert_min(key_at(i, mix.keyspace), i); },
-      [&](RunResult& r) {
-        for (const std::uint64_t v : table.values()) {
-          ++r.distinct;
-          r.checksum ^= hash_mix(v);
-        }
-      });
-}
-
-RunResult run_sharded(const Mix& mix, int threads) {
-  ShardedMinMap<std::uint64_t, std::uint64_t> table;
-  return timed_run(
-      threads,
-      [&](std::uint64_t i) { table.insert_min(key_at(i, mix.keyspace), i); },
-      [&](RunResult& r) {
-        for (const std::uint64_t v : table.values()) {
-          ++r.distinct;
-          r.checksum ^= hash_mix(v);
-        }
-      });
+  ThreadPool pool(threads);
+  const benchutil::Timer timer;
+  pool.parallel_for(0, kInserts, [&](std::uint64_t i) {
+    table.insert_min(key_at(i, mix.keyspace), i);
+  });
+  RunResult r;
+  r.ms = timer.ms();
+  for (const std::uint64_t v : table.values()) {
+    ++r.distinct;
+    r.checksum ^= hash_mix(v);
+  }
+  return r;
 }
 
 }  // namespace
@@ -94,56 +69,39 @@ int main(int argc, char** argv) {
   benchutil::parse_threads(argc, argv);  // arm obs env hooks; sweep is fixed
   const benchutil::Timer total;
 
-  std::printf("=== Dedup-table contention (lock-free vs sharded) ===\n\n");
+  std::printf("=== Dedup-table contention (lock-free) ===\n\n");
   std::printf("%zu inserts per run; fixed thread sweep 1/4/8/16\n\n",
               static_cast<std::size_t>(kInserts));
-  std::printf("%-14s %-10s %-10s %-18s\n", "mix", "table", "distinct",
-              "min-checksum");
+  std::printf("%-14s %-10s %-18s\n", "mix", "distinct", "min-checksum");
 
   double best_rate = 0;
   for (const Mix& mix : kMixes) {
     RunResult printed{};
-    bool have_printed = false;
-    for (const char* which : {"lock-free", "sharded"}) {
-      const bool lockfree = which[0] == 'l';
-      for (const int threads : {1, 4, 8, 16}) {
-        const RunResult r =
-            lockfree ? run_lockfree(mix, threads) : run_sharded(mix, threads);
-        // Content is a pure function of the insert multiset: both
-        // tables, at every thread count, must agree. Print it once per
-        // (mix, table) — identical lines would only repeat it.
-        if (threads == 1) {
-          std::printf("%-14s %-10s %-10llu %016llx\n", mix.name, which,
-                      static_cast<unsigned long long>(r.distinct),
-                      static_cast<unsigned long long>(r.checksum));
-          if (have_printed &&
-              (r.distinct != printed.distinct ||
-               r.checksum != printed.checksum)) {
-            std::printf("MISMATCH between tables on %s\n", mix.name);
-            return 1;
-          }
-          printed = r;
-          have_printed = true;
-        } else if (r.distinct != printed.distinct ||
-                   r.checksum != printed.checksum) {
-          std::printf("MISMATCH at %s/%s threads=%d\n", mix.name, which,
-                      threads);
-          return 1;
-        }
-        const double rate =
-            r.ms > 0 ? static_cast<double>(kInserts) / 1000.0 / r.ms : 0;
-        std::fprintf(stderr,
-                     "[perf]  %-14s %-10s threads=%-3d %10.2f ms  "
-                     "%8.2f Minserts/s\n",
-                     mix.name, which, threads, r.ms, rate);
-        if (lockfree && rate > best_rate) best_rate = rate;
+    for (const int threads : {1, 4, 8, 16}) {
+      const RunResult r = run_lockfree(mix, threads);
+      // Content is a pure function of the insert multiset, so every
+      // thread count must agree: print it once per mix.
+      if (threads == 1) {
+        std::printf("%-14s %-10llu %016llx\n", mix.name,
+                    static_cast<unsigned long long>(r.distinct),
+                    static_cast<unsigned long long>(r.checksum));
+        printed = r;
+      } else if (r.distinct != printed.distinct ||
+                 r.checksum != printed.checksum) {
+        std::printf("MISMATCH at %s threads=%d\n", mix.name, threads);
+        return 1;
       }
+      const double rate =
+          r.ms > 0 ? static_cast<double>(kInserts) / 1000.0 / r.ms : 0;
+      std::fprintf(stderr,
+                   "[perf]  %-14s threads=%-3d %10.2f ms  %8.2f Minserts/s\n",
+                   mix.name, threads, r.ms, rate);
+      if (rate > best_rate) best_rate = rate;
     }
   }
 
-  std::printf("\nShape checks: per-mix distinct counts and checksums agree\n");
-  std::printf("across both tables and all thread counts — the tables are\n");
-  std::printf("observationally identical; only their scaling differs.\n");
+  std::printf("\nShape check: per-mix distinct counts and checksums agree\n");
+  std::printf("across all thread counts.\n");
 
   const double wall = total.ms();
   benchutil::report_phase("total", wall);

@@ -6,7 +6,7 @@
 // Ported to the task-parallel substrate: independent sweep rows and the
 // per-graph Kripke construction run across --threads N workers. Witness
 // output (stdout) is byte-identical at any thread count — the witness
-// search enumerates modulo refinement with the deterministic parallel
+// search enumerates modulo isomorphism with the deterministic parallel
 // variant, and all parallel phases write into order-preserving slots.
 // Perf lines go to stderr; the summary to BENCH_separations.json.
 #include <cstdio>
@@ -94,16 +94,15 @@ void search_thm13_witnesses(ThreadPool& pool) {
   EnumerateOptions opts;
   opts.max_degree = 3;
 
-  // Phase 1: deterministic parallel enumeration modulo refinement — the
+  // Phase 1: deterministic parallel enumeration modulo isomorphism — the
   // representative set and order match the sequential variant exactly.
   const benchutil::Timer t_enum;
   std::vector<Graph> candidates;
   for (int n = 3; n <= 6; ++n) {
-    enumerate_graphs_modulo_refinement_parallel(n, opts, pool,
-                                                [&](const Graph& g) {
-                                                  candidates.push_back(g);
-                                                  return true;
-                                                });
+    enumerate_graphs_modulo_iso_parallel(n, opts, pool, [&](const Graph& g) {
+      candidates.push_back(g);
+      return true;
+    });
   }
   const double enum_ms = t_enum.ms();
   benchutil::report_phase("thm13 enumerate", enum_ms, candidates.size());
@@ -130,22 +129,22 @@ void search_thm13_witnesses(ThreadPool& pool) {
   benchutil::report_phase("thm13 kripke models", t_kripke.ms(),
                           candidates.size());
 
-  // Phase 3: sequential fold — state numbering equals the sequential
-  // build's, so the reported witnesses are identical too.
+  // Phase 3: one union in candidate order — state numbering is the
+  // same at any thread count, so the reported witnesses are too.
   const benchutil::Timer t_join;
+  std::vector<int> offsets;
+  const KripkeModel joint = KripkeModel::disjoint_union(models, &offsets);
   std::vector<Entry> entries;
-  KripkeModel joint(0, 0);
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const int base = joint.num_states();
-    joint = KripkeModel::disjoint_union(joint, models[i]);
     for (Entry e : entry_slots[i]) {
-      e.node += base;
+      e.node += offsets[i];
       entries.push_back(e);
     }
   }
   const int graphs = static_cast<int>(candidates.size());
-  std::printf("candidate graphs (mod refinement): %d, joint model states: %d\n",
-              graphs, joint.num_states());
+  std::printf(
+      "candidate graphs (mod isomorphism): %d, joint model states: %d\n",
+      graphs, joint.num_states());
   const Partition part = coarsest_bisimulation(joint);
   benchutil::report_phase("thm13 join+bisim", t_join.ms());
 

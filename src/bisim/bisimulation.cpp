@@ -59,60 +59,11 @@ Partition valuation_partition(const KripkeModel& k) {
 
 namespace {
 
-// --- Scalar reference -----------------------------------------------------
-//
-// Round-synchronous signature refinement, exactly the pre-Hopcroft
-// implementation: every round recomputes every state's signature against
-// the whole previous partition. The differential suites pin the worklist
-// path below against this (same blocks, same rounds); do not optimise it,
-// and keep it off the obs counters so reference runs never perturb
-// gated totals.
-
-Partition refine_reference_impl(const KripkeModel& k, bool graded,
-                                int max_rounds) {
-  const int n = k.num_states();
-  const auto modalities = k.modalities();
-
-  Partition p = valuation_partition(k);
-
-  for (int round = 0; max_rounds < 0 || round < max_rounds; ++round) {
-    // Signature of v: (current block, per-modality set/multiset of
-    // successor blocks).
-    using Sig = std::pair<int, std::vector<std::vector<int>>>;
-    std::map<Sig, int> dict;
-    std::vector<int> next(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      std::vector<std::vector<int>> succ_sig;
-      succ_sig.reserve(modalities.size());
-      for (const Modality& alpha : modalities) {
-        std::vector<int> blocks;
-        for (int w : k.successors(alpha, v)) blocks.push_back(p.block[w]);
-        std::sort(blocks.begin(), blocks.end());
-        if (!graded) {
-          blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-        }
-        succ_sig.push_back(std::move(blocks));
-      }
-      Sig sig{p.block[v], std::move(succ_sig)};
-      auto [it, _] = dict.try_emplace(std::move(sig), static_cast<int>(dict.size()));
-      next[v] = it->second;
-    }
-    const int new_blocks = static_cast<int>(dict.size());
-    if (new_blocks == p.num_blocks) {
-      // Fixpoint: signatures refine the partition but produced no split.
-      p.rounds = round;
-      return p;
-    }
-    p.block = std::move(next);
-    p.num_blocks = new_blocks;
-    p.rounds = round + 1;
-  }
-  return p;
-}
-
 // --- Hopcroft-style worklist path -----------------------------------------
 //
-// Same round-synchronous semantics, computed incrementally. Block ids
+// Round-synchronous signature refinement — each round splits every block
+// by its states' per-modality successor-block (multi)sets against the
+// start-of-round partition — computed incrementally. Block ids
 // are *stable*: when a block splits, the largest sub-block keeps the
 // parent id and only the smaller halves get fresh ids. A state's
 // signature (multiset of successor block ids) can therefore change
@@ -122,8 +73,9 @@ Partition refine_reference_impl(const KripkeModel& k, bool graded,
 // untouched block provably cannot separate. Because every fresh block is
 // at most half its parent, each state is a dirty-trigger O(log n) times:
 // Hopcroft's bound for the propagation work. Rounds and the per-round
-// partitions coincide with the reference exactly (the clean-state lemma
-// in DESIGN.md §3), which is what keeps `bisim.refine_rounds` — and
+// partitions coincide exactly with a full signature pass per round (the
+// scalar oracle in tests/support/oracles.hpp; the clean-state lemma in
+// DESIGN.md §3), which is what keeps `bisim.refine_rounds` — and
 // bounded-refinement semantics, i.e. modal depth — invariant.
 
 /// Flattened per-state signature: per modality, the sorted (multi)set of
@@ -300,16 +252,6 @@ Partition coarsest_bisimulation(const KripkeModel& k, int max_rounds) {
 
 Partition coarsest_graded_bisimulation(const KripkeModel& k, int max_rounds) {
   return refine(k, /*graded=*/true, max_rounds);
-}
-
-Partition coarsest_bisimulation_reference(const KripkeModel& k,
-                                          int max_rounds) {
-  return refine_reference_impl(k, /*graded=*/false, max_rounds);
-}
-
-Partition coarsest_graded_bisimulation_reference(const KripkeModel& k,
-                                                 int max_rounds) {
-  return refine_reference_impl(k, /*graded=*/true, max_rounds);
 }
 
 bool are_bisimilar(const KripkeModel& k, int u, int v, bool graded) {

@@ -46,15 +46,6 @@ Partition coarsest_bisimulation(const KripkeModel& k, int max_rounds = -1);
 /// Coarsest graded bisimulation equivalence (GML/GMML semantics).
 Partition coarsest_graded_bisimulation(const KripkeModel& k, int max_rounds = -1);
 
-/// Scalar reference refinement (full signature pass per round, no
-/// worklist, no obs counters). The differential suites pin the production
-/// path against these exactly — same block ids, same round count. Do not
-/// optimise.
-Partition coarsest_bisimulation_reference(const KripkeModel& k,
-                                          int max_rounds = -1);
-Partition coarsest_graded_bisimulation_reference(const KripkeModel& k,
-                                                 int max_rounds = -1);
-
 /// True iff u and v lie in the same block of the coarsest (graded)
 /// bisimulation of k.
 bool are_bisimilar(const KripkeModel& k, int u, int v, bool graded = false);

@@ -1,8 +1,5 @@
 #include "bisim/quotient.hpp"
 
-#include <algorithm>
-#include <map>
-#include <numeric>
 #include <set>
 #include <utility>
 
@@ -74,87 +71,12 @@ KripkeModel minimise_graded(const KripkeModel& k) {
   return graded_quotient_model(k, coarsest_graded_bisimulation(k));
 }
 
-namespace {
-
-/// Modality-aware colour refinement: iterated (own colour, per-modality
-/// sorted successor-colour multiset) until stable. The final colours
-/// induce the relabelling order of refinement_fingerprint.
-std::vector<int> refinement_colours(const KripkeModel& k) {
-  const int n = k.num_states();
-  const std::vector<Modality> mods = k.modalities();
-  // Initial colour: the valuation profile (shared B1 helper, so colour 0
-  // here is block 0 of the refinement partition).
-  std::vector<int> colour = valuation_partition(k).block;
-  for (int round = 0; round < n; ++round) {
-    std::map<std::pair<int, std::vector<int>>, int> dict;
-    std::vector<int> next(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      std::vector<int> sig;
-      for (const Modality& alpha : mods) {
-        std::vector<int> succ;
-        for (int w : k.successors(alpha, v)) succ.push_back(colour[w]);
-        std::sort(succ.begin(), succ.end());
-        sig.push_back(-1);  // modality separator
-        sig.insert(sig.end(), succ.begin(), succ.end());
-      }
-      auto key = std::make_pair(colour[v], std::move(sig));
-      auto [it, fresh] =
-          dict.try_emplace(std::move(key), static_cast<int>(dict.size()));
-      next[v] = it->second;
-    }
-    if (next == colour) break;
-    colour = std::move(next);
-  }
-  return colour;
-}
-
-}  // namespace
-
 std::string model_fingerprint(const KripkeModel& k) {
   // The complete key: individualisation–refinement canonical form.
   // Isomorphic models — however symmetric — get byte-identical
   // fingerprints, so dedup tables keyed on this count isomorphism
   // classes exactly.
   return canonical_certificate(k);
-}
-
-std::string refinement_fingerprint(const KripkeModel& k) {
-  const int n = k.num_states();
-  const std::vector<int> colour = refinement_colours(k);
-  // Relabel: stable sort by (colour, original index). new_of[old] = new.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return colour[a] < colour[b];
-  });
-  std::vector<int> new_of(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) new_of[order[i]] = i;
-
-  std::string fp = "n" + std::to_string(n) + "p" +
-                   std::to_string(k.num_props()) + ";";
-  for (int i = 0; i < n; ++i) {
-    const int v = order[i];
-    fp += "s";
-    for (int q = 1; q <= k.num_props(); ++q) {
-      fp += k.prop_holds(q, v) ? '1' : '0';
-    }
-    fp += ';';
-  }
-  for (const Modality& alpha : k.modalities()) {
-    fp += "m" + alpha.to_string() + ":";
-    std::vector<std::pair<int, int>> edges;
-    for (int v = 0; v < n; ++v) {
-      for (int w : k.successors(alpha, v)) {
-        edges.emplace_back(new_of[v], new_of[w]);
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    for (const auto& [a, b] : edges) {
-      fp += std::to_string(a) + ">" + std::to_string(b) + ",";
-    }
-    fp += ';';
-  }
-  return fp;
 }
 
 QuotientSearchResult search_distinct_quotients(

@@ -48,17 +48,8 @@ KripkeModel minimise_graded(const KripkeModel& k);
 /// certificate of graph/canonical.hpp (individualisation–refinement).
 /// Equal fingerprints ⟺ isomorphic models — both directions hold, so
 /// deduplicating by this key counts isomorphism classes exactly, even
-/// for highly symmetric models. (The PR-2 key, kept below as
-/// refinement_fingerprint, only guaranteed the ⇒ direction.)
+/// for highly symmetric models.
 std::string model_fingerprint(const KripkeModel& k);
-
-/// The legacy PR-2 fingerprint: states relabelled by a modality-aware
-/// colour-refinement order (ties broken by original index) and the model
-/// serialised under that order. Sound (equal ⇒ isomorphic) but
-/// incomplete: symmetric isomorphic models can fingerprint apart. Kept
-/// as the reference point for the metamorphic tests, which pin that the
-/// canonical key never yields MORE classes than this one.
-std::string refinement_fingerprint(const KripkeModel& k);
 
 struct QuotientSearchResult {
   /// Lowest input index per isomorphism class of minimal models (the
@@ -82,7 +73,7 @@ struct QuotientSearchResult {
 /// family of port numberings admit?".
 ///
 /// With a pool, discovery (minimise + canonicalise per candidate) runs
-/// in parallel into a sharded fingerprint -> minimum-index table (same
+/// in parallel into a lock-free fingerprint -> minimum-index table (same
 /// pattern as the parallel graph enumeration); the per-key minimum is
 /// timing-independent, so representatives — and the replayed models —
 /// are byte-identical at any thread count. Counts are additionally

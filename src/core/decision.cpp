@@ -38,6 +38,19 @@ void colouring_for_index(std::uint64_t a, const std::vector<int>& alphabet,
 
 }  // namespace
 
+KripkeModel joint_model(const std::vector<PortNumbering>& scope,
+                        Variant variant, int delta, ThreadPool* pool,
+                        std::vector<int>* offsets) {
+  // The per-instance Kripke builds are independent: the visitor runs
+  // them into index-ordered slots, and the union numbers states in slot
+  // order, so every block id is thread-count-invariant.
+  std::vector<KripkeModel> parts(scope.size());
+  ParallelVisitor(pool).for_each(scope.size(), [&](std::uint64_t i) {
+    parts[i] = kripke_from_graph(scope[i], variant, delta);
+  });
+  return KripkeModel::disjoint_union(parts, offsets);
+}
+
 Decision decide_solvable(const Problem& problem,
                          const std::vector<PortNumbering>& scope,
                          ProblemClass c, const DecisionOptions& opts) {
@@ -55,22 +68,9 @@ Decision decide_solvable(const Problem& problem,
     }
   }
 
-  // Joint model and per-instance state offsets. The per-instance Kripke
-  // builds are independent: the visitor runs them into index-ordered
-  // slots; the fold below is sequential either way, so the state
-  // numbering (and hence every block id) is thread-count-invariant.
-  ParallelVisitor visitor(opts.pool);
-  std::vector<KripkeModel> parts(scope.size(), KripkeModel(0, 0));
-  visitor.for_each(scope.size(), [&](std::uint64_t i) {
-    parts[i] = kripke_from_graph(scope[i], variant, delta);
-  });
-  KripkeModel joint(0, 0);
   std::vector<int> offset;
-  for (const KripkeModel& part : parts) {
-    offset.push_back(joint.num_states());
-    joint = KripkeModel::disjoint_union(joint, part);
-  }
-
+  const KripkeModel joint = joint_model(scope, variant, delta, opts.pool,
+                                        &offset);
   const Partition part = graded
                              ? coarsest_graded_bisimulation(joint, opts.rounds)
                              : coarsest_bisimulation(joint, opts.rounds);
@@ -108,6 +108,7 @@ Decision decide_solvable(const Problem& problem,
   // Lowest-witness contract of find_first == the first assignment a
   // sequential odometer would accept, so the decision bit AND the
   // colouring AND assignments_tried are identical at any worker count.
+  const ParallelVisitor visitor(opts.pool);
   const auto hit = visitor.find_first(0, combos, [&](std::uint64_t a) {
     progress.tick();
     std::vector<int> colour(static_cast<std::size_t>(part.num_blocks));

@@ -52,6 +52,15 @@ class DecisionBudgetError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The joint Kripke model of the scope: the disjoint union of the
+/// instances' K(G, p) views of `variant` at common degree bound `delta`,
+/// in scope order; (*offsets)[i] is instance i's first state. The views
+/// are built over `pool` (nullptr = sequential); the state numbering is
+/// the same at any thread count.
+KripkeModel joint_model(const std::vector<PortNumbering>& scope,
+                        Variant variant, int delta, ThreadPool* pool,
+                        std::vector<int>* offsets = nullptr);
+
 /// Decides whether some t-round algorithm of class `c` solves `problem`
 /// on every instance of the scope. Throws DecisionBudgetError if
 /// |Y|^blocks exceeds the budget.

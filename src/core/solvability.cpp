@@ -89,13 +89,14 @@ SolvabilityReport analyse_solvability(const std::vector<ScopedInstance>& scope,
   const bool graded = graded_logic_for(c);
 
   // Joint model + flattened targets.
-  KripkeModel joint(0, 0);
+  std::vector<KripkeModel> parts;
+  parts.reserve(scope.size());
   std::vector<int> target;
   for (const ScopedInstance& inst : scope) {
-    const KripkeModel k = kripke_from_graph(inst.numbering, variant, delta);
-    joint = KripkeModel::disjoint_union(joint, k);
+    parts.push_back(kripke_from_graph(inst.numbering, variant, delta));
     target.insert(target.end(), inst.target.begin(), inst.target.end());
   }
+  const KripkeModel joint = KripkeModel::disjoint_union(parts);
 
   auto partition_at = [&](int t) {
     poll_cancel(cancel);

@@ -10,7 +10,6 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "runtime/combinators.hpp"
-#include "util/visitor.hpp"
 
 namespace wm {
 
@@ -23,23 +22,6 @@ int common_delta(const std::vector<PortNumbering>& scope, int requested) {
     delta = std::max(delta, p.graph().max_degree());
   }
   return delta;
-}
-
-/// Rebuilds the joint model exactly as decide_solvable does (so block
-/// ids line up with the returned colouring): per-instance builds run
-/// through the visitor into index-ordered slots, the fold stays
-/// sequential — state numbering is therefore thread-count-invariant.
-KripkeModel joint_model(const std::vector<PortNumbering>& scope,
-                        Variant variant, int delta, ThreadPool* pool) {
-  std::vector<KripkeModel> parts(scope.size(), KripkeModel(0, 0));
-  ParallelVisitor(pool).for_each(scope.size(), [&](std::uint64_t i) {
-    parts[i] = kripke_from_graph(scope[i], variant, delta);
-  });
-  KripkeModel joint(0, 0);
-  for (const KripkeModel& part : parts) {
-    joint = KripkeModel::disjoint_union(joint, part);
-  }
-  return joint;
 }
 
 }  // namespace

@@ -2,11 +2,10 @@
 // nauty-style individualisation–refinement with automorphism (orbit)
 // pruning.
 //
-// The colour-refinement fingerprints used elsewhere (refinement_signature,
-// the PR-2 model_fingerprint) are sound but incomplete: highly symmetric
-// isomorphic structures can fingerprint apart. This module computes a
-// *complete* isomorphism key: two structures have equal certificates if
-// and ONLY if they are isomorphic. That turns dedup tables into exact
+// Colour-refinement fingerprints are sound but incomplete: highly
+// symmetric isomorphic structures can fingerprint apart. This module
+// computes a *complete* isomorphism key: two structures have equal
+// certificates if and ONLY if they are isomorphic. That turns dedup tables into exact
 // iso-free generation (enumerate_graphs_modulo_iso, the quotient search)
 // and replaces the exponential backtracking isomorphism test beyond the
 // exhaustive cutoff.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 
 #include "graph/canonical.hpp"
 #include "graph/properties.hpp"
@@ -41,40 +40,28 @@ Graph graph_from_mask(int n, const std::vector<Edge>& all_edges,
   return g;
 }
 
-struct SigHash {
-  std::size_t operator()(const std::vector<int>& sig) const noexcept {
-    std::size_t h = 0xcbf29ce484222325ULL;
-    for (int x : sig) {
-      h ^= static_cast<std::size_t>(x);
-      h *= 0x100000001b3ULL;
-    }
-    return h;
-  }
-};
-
-/// The one modulo-key enumeration body behind all four public modulo
-/// variants (iso / refinement × sequential / pooled): a dedup_scan over
-/// the edge-mask space keyed by `key_of`, streaming the lowest-mask
-/// representative of each class in mask order. The per-key minimum is a
-/// pure function of the scanned family, so the pooled variants match the
-/// sequential first-seen representatives exactly (DESIGN.md).
-template <typename Key, typename Hash, typename KeyOf>
+/// The one modulo-iso enumeration body behind the sequential and pooled
+/// variants: a dedup_scan over the edge-mask space keyed by the canonical
+/// certificate, streaming the lowest-mask representative of each class
+/// in mask order. The per-key minimum is a pure function of the scanned
+/// family, so the pooled variant matches the sequential first-seen
+/// representatives exactly (DESIGN.md).
 std::size_t enumerate_modulo(int n, const EnumerateOptions& opts,
-                             ThreadPool* pool, KeyOf&& key_of,
+                             ThreadPool* pool,
                              const std::function<bool(const Graph&)>& fn) {
   WM_TIME_SCOPE("enumerate.scan");
   const std::vector<Edge> all_edges = all_possible_edges(n);
   const std::size_t m = all_edges.size();
   obs::ProgressTask progress("enumerate.scan", 1ULL << m);
   ParallelVisitor visitor(pool);
-  return visitor.template dedup_scan<Key, Hash>(
+  return visitor.dedup_scan<std::string>(
       1ULL << m,
       [&](std::uint64_t mask, auto&& emit) {
         progress.tick();
         const Graph g = graph_from_mask(n, all_edges, mask);
         if (!admissible(g, opts)) return;
         WM_COUNT(enumerate.graphs);
-        emit(key_of(g));
+        emit(canonical_certificate(g));
       },
       [&](std::uint64_t rep) {
         WM_COUNT(enumerate.emitted);
@@ -83,38 +70,6 @@ std::size_t enumerate_modulo(int n, const EnumerateOptions& opts,
 }
 
 }  // namespace
-
-std::vector<int> refinement_signature(const Graph& g) {
-  const int n = g.num_nodes();
-  std::vector<int> colour(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) colour[v] = g.degree(v);
-  for (int round = 0; round < n; ++round) {
-    std::map<std::pair<int, std::vector<int>>, int> dict;
-    std::vector<int> next(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      std::vector<int> nb;
-      nb.reserve(g.neighbours(v).size());
-      for (NodeId u : g.neighbours(v)) nb.push_back(colour[u]);
-      std::sort(nb.begin(), nb.end());
-      auto key = std::make_pair(colour[v], std::move(nb));
-      auto [it, inserted] = dict.try_emplace(std::move(key), static_cast<int>(dict.size()));
-      next[v] = it->second;
-    }
-    if (next == colour) break;
-    colour = std::move(next);
-  }
-  // Signature = multiset of (colour, count of colour class) — plus the
-  // multiset of coloured edges so different graphs rarely collide.
-  std::vector<int> sig = colour;
-  std::sort(sig.begin(), sig.end());
-  for (const Edge& e : g.edges()) {
-    const int a = std::min(colour[e.u], colour[e.v]);
-    const int b = std::max(colour[e.u], colour[e.v]);
-    sig.push_back(1000 + a * 100 + b);
-  }
-  std::sort(sig.begin(), sig.end());
-  return sig;
-}
 
 std::size_t enumerate_graphs(int n, const EnumerateOptions& opts,
                              const std::function<bool(const Graph&)>& fn) {
@@ -134,19 +89,10 @@ std::size_t enumerate_graphs(int n, const EnumerateOptions& opts,
   return visited;
 }
 
-std::size_t enumerate_graphs_modulo_refinement(
-    int n, const EnumerateOptions& opts,
-    const std::function<bool(const Graph&)>& fn) {
-  return enumerate_modulo<std::vector<int>, SigHash>(
-      n, opts, /*pool=*/nullptr, refinement_signature, fn);
-}
-
 std::size_t enumerate_graphs_modulo_iso(
     int n, const EnumerateOptions& opts,
     const std::function<bool(const Graph&)>& fn) {
-  return enumerate_modulo<std::string, std::hash<std::string>>(
-      n, opts, /*pool=*/nullptr,
-      [](const Graph& g) { return canonical_certificate(g); }, fn);
+  return enumerate_modulo(n, opts, /*pool=*/nullptr, fn);
 }
 
 std::size_t enumerate_graphs_modulo_iso_parallel(
@@ -155,9 +101,7 @@ std::size_t enumerate_graphs_modulo_iso_parallel(
   WM_TRACE_SCOPE("enumerate.modulo_iso");
   // Canonical certificates are a complete isomorphism key, so the
   // surviving set is exactly one graph per isomorphism class.
-  return enumerate_modulo<std::string, std::hash<std::string>>(
-      n, opts, &pool,
-      [](const Graph& g) { return canonical_certificate(g); }, fn);
+  return enumerate_modulo(n, opts, &pool, fn);
 }
 
 std::string graph_census_kind(int n, const EnumerateOptions& opts) {
@@ -248,14 +192,6 @@ std::size_t enumerate_graphs_parallel(
         return true;
       });
   return visited.load();
-}
-
-std::size_t enumerate_graphs_modulo_refinement_parallel(
-    int n, const EnumerateOptions& opts, ThreadPool& pool,
-    const std::function<bool(const Graph&)>& fn) {
-  WM_TRACE_SCOPE("enumerate.modulo_refinement");
-  return enumerate_modulo<std::vector<int>, SigHash>(
-      n, opts, &pool, refinement_signature, fn);
 }
 
 }  // namespace wm

@@ -35,15 +35,6 @@ struct EnumerateOptions {
 std::size_t enumerate_graphs(int n, const EnumerateOptions& opts,
                              const std::function<bool(const Graph&)>& fn);
 
-/// Deduplicated-by-degree-refinement variant: skips graphs whose colour
-/// refinement signature was already seen (a cheap, sound-for-our-purposes
-/// symmetry reduction: bisimulation-based witnesses only depend on the
-/// refinement classes). Visits strictly fewer graphs; the representative
-/// of each signature class is the graph with the lowest edge mask.
-std::size_t enumerate_graphs_modulo_refinement(
-    int n, const EnumerateOptions& opts,
-    const std::function<bool(const Graph&)>& fn);
-
 /// Parallel enumeration over `pool`: partitions the edge-set space into
 /// prefix chunks and streams the admissible graphs to per-thread
 /// consumers — fn(g, worker) with worker in [0, pool.num_threads()),
@@ -58,26 +49,11 @@ std::size_t enumerate_graphs_parallel(
     int n, const EnumerateOptions& opts, ThreadPool& pool,
     const std::function<bool(const Graph&, int worker)>& fn);
 
-/// Deterministic parallel modulo-refinement enumeration. Discovery is
-/// parallel — a lock-free signature -> minimum-edge-mask table built over
-/// `pool` (util/visitor.hpp) — and the surviving representatives (lowest
-/// mask per signature,
-/// i.e. *the same graphs* the sequential variant picks) are then replayed
-/// to `fn` sequentially in increasing mask order. Output is therefore
-/// byte-identical at any thread count. Early stop (fn returning false)
-/// halts the replay; the discovery pass always covers the full space.
-std::size_t enumerate_graphs_modulo_refinement_parallel(
-    int n, const EnumerateOptions& opts, ThreadPool& pool,
-    const std::function<bool(const Graph&)>& fn);
-
 /// Exact iso-free generation: visits exactly one representative per
 /// isomorphism class (the graph with the lowest edge mask), deduplicated
-/// by the complete canonical-form key of graph/canonical.hpp. Unlike the
-/// refinement signature — which merges non-isomorphic regular graphs AND
-/// splits isomorphism classes (its colour ids depend on vertex order) —
-/// this key is exact, so the counts match OEIS A000088 / A001349: the
-/// executable form of the paper's "all graphs in F(Delta)"
-/// quantification.
+/// by the complete canonical-form key of graph/canonical.hpp. The key is
+/// exact, so the counts match OEIS A000088 / A001349: the executable
+/// form of the paper's "all graphs in F(Delta)" quantification.
 std::size_t enumerate_graphs_modulo_iso(
     int n, const EnumerateOptions& opts,
     const std::function<bool(const Graph&)>& fn);
@@ -126,14 +102,5 @@ std::size_t enumerate_graphs_modulo_iso_stream(
     std::uint64_t batch,
     const std::function<bool(const std::string&, std::uint64_t)>& sink,
     const std::function<bool(const Graph&)>& fn);
-
-/// Colour-refinement (1-WL) signature: stable partition colours plus the
-/// coloured-edge multiset, sorted. Exposed so tests can cross-check the
-/// parallel and sequential enumerations. NOTE: a heuristic dedup key,
-/// not an isomorphism key in either direction — colour ids are assigned
-/// in first-seen vertex order, so relabelled copies of one graph can
-/// sign apart, and all k-regular graphs on n nodes share one signature.
-/// Use enumerate_graphs_modulo_iso / canonical_form for exact dedup.
-std::vector<int> refinement_signature(const Graph& g);
 
 }  // namespace wm

@@ -24,7 +24,12 @@ std::size_t mix(std::size_t seed, std::size_t v) {
 
 std::string Modality::to_string() const {
   auto part = [](int x) { return x == 0 ? std::string("*") : std::to_string(x); };
-  return "(" + part(in) + "," + part(out) + ")";
+  std::string s = "(";
+  s += part(in);
+  s += ',';
+  s += part(out);
+  s += ')';
+  return s;
 }
 
 std::string variant_name(Variant v) {

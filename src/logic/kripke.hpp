@@ -3,6 +3,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,13 +45,23 @@ class KripkeModel {
   /// treats "no successors" as information even when no edge exists.
   void ensure_relation(const Modality& alpha);
 
-  /// Disjoint union (states of `other` shifted by num_states()); used for
-  /// cross-model bisimilarity checks. Props / modalities are unioned.
+  /// Disjoint union of the parts, in order: the states of parts[i] are
+  /// shifted by the total state count of parts[0..i), which is written
+  /// to (*offsets)[i] when `offsets` is given. Props and modalities are
+  /// unioned. One linear pass: each part's successor lists and valuation
+  /// rows are copied once. This is the joint model of a scope (Section
+  /// 4.3) and the basis of cross-model bisimilarity checks.
+  static KripkeModel disjoint_union(std::span<const KripkeModel> parts,
+                                    std::vector<int>* offsets = nullptr);
+  /// Two-part union: the states of `b` follow those of `a`.
   static KripkeModel disjoint_union(const KripkeModel& a, const KripkeModel& b);
 
   std::string to_string() const;
 
  private:
+  static KripkeModel union_of(std::span<const KripkeModel* const> parts,
+                              std::vector<int>* offsets);
+
   int num_states_ = 0;
   int num_props_ = 0;
   std::map<Modality, std::vector<std::vector<int>>> rel_;

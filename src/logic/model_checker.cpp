@@ -93,76 +93,6 @@ const Bitset& eval_bits(const KripkeModel& k, const Formula& f, Memo& memo) {
   return memo.emplace(f, std::move(out)).first->second;
 }
 
-// --- Scalar reference -----------------------------------------------------
-//
-// Direct recursion over std::vector<bool> following the truth definition,
-// exactly the pre-bitset implementation. The differential suites pin the
-// packed path against this bit-for-bit; do not optimise it.
-
-std::vector<bool> eval_naive(const KripkeModel& k, const Formula& f) {
-  WM_COUNT(modelcheck.evals);
-  const int n = k.num_states();
-  std::vector<bool> out(static_cast<std::size_t>(n), false);
-  switch (f.kind()) {
-    case Formula::Kind::True:
-      out.assign(static_cast<std::size_t>(n), true);
-      break;
-    case Formula::Kind::False:
-      break;
-    case Formula::Kind::Prop: {
-      const int q = f.prop_id();
-      if (q <= k.num_props()) {
-        for (int v = 0; v < n; ++v) out[v] = k.prop_holds(q, v);
-      }
-      break;
-    }
-    case Formula::Kind::Not: {
-      auto c = eval_naive(k, f.child());
-      for (int v = 0; v < n; ++v) out[v] = !c[v];
-      break;
-    }
-    case Formula::Kind::And: {
-      auto a = eval_naive(k, f.child(0));
-      auto b = eval_naive(k, f.child(1));
-      for (int v = 0; v < n; ++v) out[v] = a[v] && b[v];
-      break;
-    }
-    case Formula::Kind::Or: {
-      auto a = eval_naive(k, f.child(0));
-      auto b = eval_naive(k, f.child(1));
-      for (int v = 0; v < n; ++v) out[v] = a[v] || b[v];
-      break;
-    }
-    case Formula::Kind::Diamond: {
-      auto c = eval_naive(k, f.child());
-      const int need = f.grade();
-      for (int v = 0; v < n; ++v) {
-        int cnt = 0;
-        for (int w : k.successors(f.modality(), v)) {
-          if (c[w] && ++cnt >= need) break;
-        }
-        out[v] = cnt >= need;
-      }
-      break;
-    }
-    case Formula::Kind::Box: {
-      auto c = eval_naive(k, f.child());
-      for (int v = 0; v < n; ++v) {
-        bool all = true;
-        for (int w : k.successors(f.modality(), v)) {
-          if (!c[w]) {
-            all = false;
-            break;
-          }
-        }
-        out[v] = all;
-      }
-      break;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Bitset model_check_bits(const KripkeModel& k, const Formula& phi) {
@@ -179,10 +109,6 @@ std::vector<bool> model_check(const KripkeModel& k, const Formula& phi) {
 
 bool model_check_at(const KripkeModel& k, const Formula& phi, int state) {
   return model_check_bits(k, phi).test(static_cast<std::size_t>(state));
-}
-
-std::vector<bool> model_check_naive(const KripkeModel& k, const Formula& phi) {
-  return eval_naive(k, phi);
 }
 
 }  // namespace wm

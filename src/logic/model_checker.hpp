@@ -22,10 +22,4 @@ std::vector<bool> model_check(const KripkeModel& k, const Formula& phi);
 /// Single-state convenience.
 bool model_check_at(const KripkeModel& k, const Formula& phi, int state);
 
-/// Reference implementation: direct scalar recursion over
-/// std::vector<bool> following the truth definition, no memoisation.
-/// Exponential on DAG-shaped formulas; kept as the differential oracle
-/// the bitset path is pinned against bit-for-bit — do not optimise.
-std::vector<bool> model_check_naive(const KripkeModel& k, const Formula& phi);
-
 }  // namespace wm

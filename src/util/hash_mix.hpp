@@ -1,11 +1,10 @@
 // Hash finalisation for the concurrent dedup tables.
 //
 // std::hash on integer keys is the identity on every mainstream standard
-// library, so any table that derives a shard or slot index from the raw
-// hash with a modulo sees sequential keys hammer adjacent buckets. Both
-// concurrent tables (util/sharded.hpp, util/lockfree_set.hpp) therefore
-// finalise the raw hash with an avalanche mixer before using any of its
-// bits for placement.
+// library, so any table that derives a slot index from the raw hash with
+// a modulo sees sequential keys hammer adjacent buckets. The concurrent
+// table (util/lockfree_set.hpp) therefore finalises the raw hash with an
+// avalanche mixer before using any of its bits for placement.
 #pragma once
 
 #include <cstdint>

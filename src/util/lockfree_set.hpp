@@ -2,9 +2,8 @@
 //
 // DiVinE-style open-addressing table built for state-space exploration:
 // power-of-two capacity, splitmix-mixed triangular probing, CAS slot
-// claims, and *no locks on the hot path* — the replacement for the
-// mutex-sharded ShardedMinMap that capped dedup throughput at 8+
-// threads. Design constraints it exploits:
+// claims, and *no locks on the hot path* (a mutex-sharded table capped
+// dedup throughput at 8+ threads). Design constraints it exploits:
 //
 //  - Keys are never deleted. A slot goes nullptr -> Entry* exactly once,
 //    so readers need no hazard pointers or epochs: an Entry observed via

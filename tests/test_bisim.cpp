@@ -15,6 +15,7 @@
 #include "port/port_numbering.hpp"
 #include "support/canon_harness.hpp"
 #include "support/diff_harness.hpp"
+#include "support/oracles.hpp"
 #include "util/parallel.hpp"
 
 namespace wm {

@@ -82,7 +82,7 @@ TEST(CanonicalParallel, ModuloIsoRepresentativesAreLowestMask) {
 
 TEST(CanonicalParallel, QuotientSearchPooledMatchesSequential) {
   // The pool drives minimisation AND canonicalisation per candidate; the
-  // sharded min-table makes the representative set thread-agnostic.
+  // lock-free min-table makes the representative set thread-agnostic.
   for (const std::uint64_t seed : canontest::seeds_under_test()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     auto build = [seed](std::uint64_t i) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/classification.hpp"
 #include "graph/generators.hpp"
 #include "logic/model_checker.hpp"
@@ -37,10 +39,14 @@ TEST(Definability, FixpointFamilyGrowsWithDepth) {
   EXPECT_EQ(dfix.size(), 8u);
 }
 
+// gtest prints a parameter that has no PrintTo as a dump of its bytes,
+// and CTest names each case by that dump. graded is an int, not a bool,
+// so the struct has no padding bytes, whose values would be arbitrary.
 struct DefCase {
   Variant variant;
-  bool graded;
+  int graded;
 };
+static_assert(std::has_unique_object_representations_v<DefCase>);
 
 class ExpressiveCompleteness : public ::testing::TestWithParam<DefCase> {};
 

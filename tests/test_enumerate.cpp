@@ -90,14 +90,14 @@ TEST(Enumerate, ReturnValueCountsGraphsStreamedToFn) {
 
   EnumerateOptions conn;
   calls = 0;
-  const std::size_t reduced = enumerate_graphs_modulo_refinement(
+  const std::size_t reduced = enumerate_graphs_modulo_iso(
       5, conn, [&](const Graph&) {
         ++calls;
         return true;
       });
   EXPECT_EQ(reduced, calls);
   calls = 0;
-  const std::size_t reduced_stopped = enumerate_graphs_modulo_refinement(
+  const std::size_t reduced_stopped = enumerate_graphs_modulo_iso(
       5, conn, [&](const Graph&) { return ++calls < 3; });
   EXPECT_EQ(reduced_stopped, 3u);
 }
@@ -248,46 +248,26 @@ TEST(Enumerate, ModuloIsoConnectedMatchesOeisA001349) {
 }
 
 TEST(Enumerate, ModuloIsoFixesBothRefinementFailureModes) {
-  // The refinement signature is only a heuristic dedup key: its colour
-  // ids are assigned in first-seen vertex order, so it SPLITS
-  // isomorphism classes (relabelled copies can sign apart), and it
-  // also MERGES non-isomorphic regular graphs (one colour class each).
-  // The canonical certificate has neither failure mode. Demonstrate the
-  // split concretely — P3 with the centre first vs the centre second —
-  // and check the aggregate consequence: on all graphs of order 5 the
-  // signature count strictly exceeds the exact A000088 count.
+  // A colour-refinement signature is only a heuristic dedup key: it
+  // SPLITS isomorphism classes when colour ids follow vertex order, and
+  // it MERGES non-isomorphic regular graphs (one colour class each). The
+  // canonical certificate has neither failure mode: P3 with the centre
+  // first vs the centre second shares one certificate, and on all graphs
+  // of order 5 the class count is the exact A000088 count.
   Graph centre_mid(3);  // 0 - 1 - 2
   centre_mid.add_edge(0, 1);
   centre_mid.add_edge(1, 2);
   Graph centre_first(3);  // 1 - 0 - 2
   centre_first.add_edge(0, 1);
   centre_first.add_edge(0, 2);
-  EXPECT_NE(refinement_signature(centre_mid),
-            refinement_signature(centre_first));
   EXPECT_EQ(canonical_certificate(centre_mid),
             canonical_certificate(centre_first));
 
   EnumerateOptions opts;
   opts.connected_only = false;
-  const std::size_t by_refinement = enumerate_graphs_modulo_refinement(
-      5, opts, [](const Graph&) { return true; });
   const std::size_t by_iso = enumerate_graphs_modulo_iso(
       5, opts, [](const Graph&) { return true; });
-  EXPECT_EQ(by_iso, 34u);          // A000088(5): exact
-  EXPECT_GT(by_refinement, by_iso);  // the splits dominate at this scope
-}
-
-TEST(Enumerate, ModuloRefinementVisitsFewer) {
-  EnumerateOptions opts;
-  std::size_t all = 0, reduced = 0;
-  enumerate_graphs(5, opts, [&](const Graph&) {
-    ++all;
-    return true;
-  });
-  reduced = enumerate_graphs_modulo_refinement(5, opts,
-                                               [&](const Graph&) { return true; });
-  EXPECT_LT(reduced, all);
-  EXPECT_GT(reduced, 0u);
+  EXPECT_EQ(by_iso, 34u);  // A000088(5): exact
 }
 
 }  // namespace

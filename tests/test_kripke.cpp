@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "support/diff_harness.hpp"
+#include "util/rng.hpp"
 
 namespace wm {
 namespace {
@@ -87,6 +92,52 @@ TEST(Kripke, UnionsInMinusPlusView) {
   EXPECT_TRUE(k.successors({0, 2}, 0).empty());  // leaves have no port 2
 }
 
+/// A random union part: 0..5 states, 0..3 props, a random subset of
+/// five modalities (so two parts' modality sets may be disjoint), and
+/// edges drawn with repetition, some added twice (graded multiplicity).
+KripkeModel random_part(Rng& rng) {
+  const int n = static_cast<int>(rng.below(6));
+  const int props = static_cast<int>(rng.below(4));
+  KripkeModel k(n, props);
+  for (const Modality alpha : {Modality{0, 0}, Modality{1, 0}, Modality{0, 1},
+                               Modality{1, 2}, Modality{2, 1}}) {
+    if (rng.below(2) == 0) continue;
+    k.ensure_relation(alpha);
+    for (std::uint64_t e = 0, m = rng.below(2 * n + 1); e < m; ++e) {
+      const int from = static_cast<int>(rng.below(n));
+      const int to = static_cast<int>(rng.below(n));
+      k.add_edge(alpha, from, to);
+      if (rng.below(4) == 0) k.add_edge(alpha, from, to);
+    }
+  }
+  for (int q = 1; q <= props; ++q) {
+    for (int v = 0; v < n; ++v) {
+      if (rng.below(2) == 1) k.set_prop(q, v);
+    }
+  }
+  return k;
+}
+
+/// The n-ary union must equal a left fold of the binary overload: same
+/// relations (to_string lists registered-but-empty ones too), same prop
+/// rows, and offsets equal to the fold's state count before each part.
+void expect_union_matches_fold(const std::vector<KripkeModel>& parts) {
+  std::vector<int> offsets;
+  const KripkeModel u = KripkeModel::disjoint_union(parts, &offsets);
+  KripkeModel fold(0, 0);
+  std::vector<int> fold_offsets;
+  for (const KripkeModel& k : parts) {
+    fold_offsets.push_back(fold.num_states());
+    fold = KripkeModel::disjoint_union(fold, k);
+  }
+  EXPECT_EQ(u.to_string(), fold.to_string());
+  EXPECT_EQ(offsets, fold_offsets);
+  ASSERT_EQ(u.num_props(), fold.num_props());
+  for (int q = 1; q <= u.num_props(); ++q) {
+    EXPECT_EQ(u.prop_bits(q), fold.prop_bits(q)) << "q=" << q;
+  }
+}
+
 TEST(Kripke, DisjointUnion) {
   const Graph g = path_graph(2);
   const PortNumbering p = PortNumbering::identity(g);
@@ -95,6 +146,41 @@ TEST(Kripke, DisjointUnion) {
   EXPECT_EQ(u.num_states(), 4);
   EXPECT_EQ(u.successors({0, 0}, 2), (std::vector<int>{3}));
   EXPECT_TRUE(u.prop_holds(1, 2));
+
+  // Empty part list: the empty model, no offsets.
+  std::vector<int> offsets = {7};
+  const KripkeModel none = KripkeModel::disjoint_union({}, &offsets);
+  EXPECT_EQ(none.to_string(), KripkeModel(0, 0).to_string());
+  EXPECT_TRUE(offsets.empty());
+
+  // Fixed edge cases: a zero-state part that still registers a modality
+  // and carries props, different num_props, disjoint modality sets, and
+  // a duplicate (graded) edge.
+  KripkeModel zero(0, 3);
+  zero.ensure_relation({2, 2});
+  KripkeModel graded(2, 1);
+  graded.add_edge({1, 0}, 0, 1);
+  graded.add_edge({1, 0}, 0, 1);
+  graded.set_prop(1, 1);
+  const std::vector<KripkeModel> fixed = {graded, zero, a, graded};
+  expect_union_matches_fold(fixed);
+  const KripkeModel joint = KripkeModel::disjoint_union(fixed);
+  EXPECT_EQ(joint.num_props(), 3);
+  EXPECT_EQ(joint.successors({1, 0}, 4), (std::vector<int>{5, 5}));
+  EXPECT_TRUE(joint.has_relation({2, 2}));
+  EXPECT_TRUE(joint.successors({0, 0}, 0).empty());
+
+  // Seeded differential over random part lists (0..6 parts).
+  for (const std::uint64_t seed : difftest::seeds_under_test()) {
+    Rng rng(seed);
+    for (int c = 0; c < 100; ++c) {
+      std::vector<KripkeModel> parts(rng.below(7));
+      for (KripkeModel& k : parts) k = random_part(rng);
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " case " +
+                   std::to_string(c));
+      expect_union_matches_fold(parts);
+    }
+  }
 }
 
 TEST(Kripke, IsolatedNodesHaveNoProps) {

@@ -4,9 +4,8 @@
 // so its contract gets the full treatment: multi-worker hammer tests at 8
 // and 16 threads (the TSan CI job runs this suite via the `parallel`
 // label), fill-to-capacity and cooperative-growth paths, and a
-// differential suite pinning its harvest byte-identical to the mutex-based
-// ShardedMinMap on the same seeded insert multiset — the two tables must
-// be indistinguishable observationally, whatever their internals.
+// differential suite pinning its harvest byte-identical to a sequential
+// std::map min-fold of the same seeded insert multiset.
 // WM_SEED=<n> narrows the seeded sweeps to one seed.
 #include "util/lockfree_set.hpp"
 
@@ -14,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +22,6 @@
 #include "support/diff_harness.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/sharded.hpp"
 
 namespace wm {
 namespace {
@@ -128,39 +127,31 @@ TEST(LockfreeMinMap, SequentialFillToExactCapacityBoundary) {
   for (std::size_t k = 0; k < mins.size(); ++k) EXPECT_EQ(mins[k], k);
 }
 
-// --- Differential: lock-free vs sharded ------------------------------------
+// --- Differential: lock-free vs an exact sequential reference -------------
 
-/// Canonical observable content of a dedup table: sorted (key, min) pairs.
-template <typename Table>
-std::vector<std::pair<std::uint64_t, std::uint64_t>> content_of(Table& table);
-
-template <>
-std::vector<std::pair<std::uint64_t, std::uint64_t>> content_of(
-    LockfreeMinMap<std::uint64_t, std::uint64_t>& table) {
-  auto pairs = table.harvest();
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
-
+// The suite name records the mutex-sharded table this one replaced; the
+// reference is now the simplest exact one, a std::map min-fold.
 TEST(LockfreeVsSharded, IdenticalContentOnSeededInsertMultisets) {
-  // The replacement claim, executable: for the same insert multiset —
-  // seeded-random keys and values, applied from 1/2/8-worker pools —
-  // the lock-free table and the old mutex-sharded table must harvest
-  // byte-identical (key, min) sets. WM_SEED=<n> reproduces one seed.
+  // For the same insert multiset — seeded-random keys and values,
+  // applied from 1/2/8-worker pools — the lock-free table must harvest
+  // exactly the (key, min) pairs of a sequential min-fold.
+  // WM_SEED=<n> reproduces one seed.
   for (const std::uint64_t seed : difftest::seeds_under_test()) {
-    // Build the insert multiset deterministically up front so every
-    // table and every thread count sees the same multiset.
+    // Build the insert multiset deterministically up front so the
+    // reference and every thread count see the same multiset.
     Rng rng(seed);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> inserts;
     const std::uint64_t keyspace = 1 + rng.below(400);
     for (int i = 0; i < 20000; ++i) {
       inserts.emplace_back(rng.below(keyspace), rng.next());
     }
-    // Reference: the sharded table, filled sequentially.
-    ShardedMinMap<std::uint64_t, std::uint64_t> sharded;
-    for (const auto& [k, v] : inserts) sharded.insert_min(k, v);
-    std::vector<std::uint64_t> expected_mins = sharded.values();
-    std::sort(expected_mins.begin(), expected_mins.end());
+    std::map<std::uint64_t, std::uint64_t> reference;
+    for (const auto& [k, v] : inserts) {
+      const auto [it, fresh] = reference.try_emplace(k, v);
+      if (!fresh) it->second = std::min(it->second, v);
+    }
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected(
+        reference.begin(), reference.end());
 
     for (const int threads : {1, 2, 8}) {
       LockfreeMinMap<std::uint64_t, std::uint64_t> lockfree;
@@ -168,14 +159,11 @@ TEST(LockfreeVsSharded, IdenticalContentOnSeededInsertMultisets) {
       pool.parallel_for(0, inserts.size(), [&](std::uint64_t i) {
         lockfree.insert_min(inserts[i].first, inserts[i].second);
       });
-      const auto pairs = content_of(lockfree);
-      std::vector<std::uint64_t> mins;
-      for (const auto& [k, v] : pairs) mins.push_back(v);
-      std::sort(mins.begin(), mins.end());
-      EXPECT_EQ(mins, expected_mins)
-          << "lock-free diverged from sharded at threads=" << threads
+      auto pairs = lockfree.harvest();
+      std::sort(pairs.begin(), pairs.end());
+      EXPECT_EQ(pairs, expected)
+          << "lock-free diverged from the min-fold at threads=" << threads
           << " — reproduce with WM_SEED=" << seed;
-      EXPECT_EQ(pairs.size(), sharded.size());
     }
   }
 }

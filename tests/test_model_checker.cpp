@@ -13,6 +13,7 @@
 #include "obs/counters.hpp"
 #include "support/canon_harness.hpp"
 #include "support/diff_harness.hpp"
+#include "support/oracles.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 

@@ -13,7 +13,6 @@
 #include "runtime/engine.hpp"
 #include "transform/simulations.hpp"
 #include "util/rng.hpp"
-#include "util/sharded.hpp"
 
 namespace wm {
 namespace {
@@ -132,78 +131,42 @@ TEST(ThreadPool, SubmittedTasksRunEventually) {
   EXPECT_EQ(ran.load(), 20);
 }
 
-TEST(ShardedMinMap, KeepsMinimumPerKeyUnderContention) {
-  ShardedMinMap<int, std::uint64_t> table(8);
-  ThreadPool pool(8);
-  pool.parallel_for(0, 10000, [&](std::uint64_t i) {
-    table.insert_min(static_cast<int>(i % 17), i);
-  });
-  EXPECT_EQ(table.size(), 17u);
-  std::vector<std::uint64_t> mins = table.values();
-  std::sort(mins.begin(), mins.end());
-  // Key k's minimum inserted value is k itself (first occurrence).
-  for (std::size_t k = 0; k < mins.size(); ++k) EXPECT_EQ(mins[k], k);
-}
-
 // --- Parallel enumeration -------------------------------------------------
 
-std::vector<std::vector<int>> sequential_signatures(int n,
+std::vector<std::vector<Edge>> sequential_edge_sets(int n,
                                                     const EnumerateOptions& o) {
-  std::vector<std::vector<int>> sigs;
+  std::vector<std::vector<Edge>> sets;
   enumerate_graphs(n, o, [&](const Graph& g) {
-    sigs.push_back(refinement_signature(g));
+    sets.push_back(g.edges());
     return true;
   });
-  std::sort(sigs.begin(), sigs.end());
-  return sigs;
+  std::sort(sets.begin(), sets.end());
+  return sets;
 }
 
 TEST(EnumerateParallel, VisitsIdenticalSignatureMultiset) {
+  // The labelled edge set identifies each visited graph exactly, so equal
+  // multisets mean the parallel scan visits every graph exactly once.
   EnumerateOptions opts;  // connected only
-  const auto expected = sequential_signatures(5, opts);
+  const auto expected = sequential_edge_sets(5, opts);
   ASSERT_EQ(expected.size(), 728u);  // labelled connected graphs on 5 nodes
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    std::vector<std::vector<std::vector<int>>> per_worker(
+    std::vector<std::vector<std::vector<Edge>>> per_worker(
         static_cast<std::size_t>(pool.num_threads()));
     const std::size_t visited = enumerate_graphs_parallel(
         5, opts, pool, [&](const Graph& g, int worker) {
-          per_worker[static_cast<std::size_t>(worker)].push_back(
-              refinement_signature(g));
+          per_worker[static_cast<std::size_t>(worker)].push_back(g.edges());
           return true;
         });
     EXPECT_EQ(visited, expected.size());
-    std::vector<std::vector<int>> sigs;
+    std::vector<std::vector<Edge>> sets;
     for (auto& w : per_worker) {
-      for (auto& s : w) sigs.push_back(std::move(s));
+      for (auto& s : w) sets.push_back(std::move(s));
     }
-    EXPECT_EQ(sigs.size(), visited);
-    std::sort(sigs.begin(), sigs.end());
-    EXPECT_EQ(sigs, expected) << "threads=" << threads;
-  }
-}
-
-TEST(EnumerateParallel, ModuloRefinementMatchesSequentialExactly) {
-  EnumerateOptions opts;
-  opts.max_degree = 3;
-  std::vector<std::vector<Edge>> expected;
-  const std::size_t seq = enumerate_graphs_modulo_refinement(
-      5, opts, [&](const Graph& g) {
-        expected.push_back(g.edges());
-        return true;
-      });
-  ASSERT_GT(seq, 0u);
-  for (const int threads : {1, 3, 8}) {
-    ThreadPool pool(threads);
-    std::vector<std::vector<Edge>> got;
-    const std::size_t visited = enumerate_graphs_modulo_refinement_parallel(
-        5, opts, pool, [&](const Graph& g) {
-          got.push_back(g.edges());
-          return true;
-        });
-    EXPECT_EQ(visited, seq);
-    // Same representatives in the same order — not merely the same set.
-    EXPECT_EQ(got, expected) << "threads=" << threads;
+    EXPECT_EQ(sets.size(), visited);
+    std::sort(sets.begin(), sets.end());
+    EXPECT_EQ(sets, expected) << "threads=" << threads;
   }
 }
 

@@ -54,7 +54,11 @@ std::string edges_json(const Graph& g) {
       if (v < u) continue;
       if (!first) out += ", ";
       first = false;
-      out += "[" + std::to_string(u) + ", " + std::to_string(v) + "]";
+      out += '[';
+      out += std::to_string(u);
+      out += ", ";
+      out += std::to_string(v);
+      out += ']';
     }
   }
   out += "]";
@@ -62,8 +66,12 @@ std::string edges_json(const Graph& g) {
 }
 
 std::string graph_json(const Graph& g) {
-  return "{\"n\": " + std::to_string(g.num_nodes()) +
-         ", \"edges\": " + edges_json(g) + "}";
+  std::string out = "{\"n\": ";
+  out += std::to_string(g.num_nodes());
+  out += ", \"edges\": ";
+  out += edges_json(g);
+  out += '}';
+  return out;
 }
 
 // --- 1. Byte-exact goldens --------------------------------------------------
@@ -472,6 +480,9 @@ TEST(ServeDifferential, ClassifyMatchesDirectAnalysis) {
 
 // --- 4. Observability: metrics exposition, window deltas, access log --------
 
+#if !defined(WM_OBS_DISABLED)
+// Exposition helpers: only the observability tests below use them.
+
 /// The exposition text out of a metrics reply.
 std::string exposition_of(const std::string& reply) {
   const Json j = parse_json(reply);
@@ -545,6 +556,7 @@ bool valid_exposition_line(const std::string& line) {
   (void)parsed;
   return end == v.c_str() + v.size() && !v.empty();
 }
+#endif  // !WM_OBS_DISABLED
 
 TEST(ServeMetrics, ExpositionGoldenAtOneShard) {
 #if defined(WM_OBS_DISABLED)
@@ -647,7 +659,11 @@ TEST(ServeMetrics, StatsWindowBracketsRequestBatchExactly) {
     std::string edges = "[";
     for (int v = 0; v + 1 < n; ++v) {
       if (v > 0) edges += ", ";
-      edges += "[" + std::to_string(v) + ", " + std::to_string(v + 1) + "]";
+      edges += '[';
+      edges += std::to_string(v);
+      edges += ", ";
+      edges += std::to_string(v + 1);
+      edges += ']';
     }
     edges += "]";
     const std::string req =

@@ -3,9 +3,10 @@
 //  - *Hammer*: N client threads fire an identical fixed request mix at
 //    one Service. The single-flight cache makes hit/miss tallies a
 //    function of the mix alone — total - distinct hits at ANY client
-//    count — so the per-endpoint work counters must come out identical
+//    count — so the cache's hit/miss tallies must come out identical
 //    for 8 and 16 clients. This is the determinism contract that lets
-//    serve.cache_hits.* live alongside the library's work counters.
+//    the serve.cache_hits.* work counters, which count the same
+//    outcomes, live alongside the library's work counters.
 //  - *Eviction freshness*: a deliberately tiny cache under concurrent
 //    overlapping keys must never cross-serve blobs between keys.
 //  - *Drain*: a request whose bytes arrived before request_stop() gets
@@ -23,17 +24,12 @@
 #include <thread>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
 namespace wm::serve {
 namespace {
-
-std::uint64_t work_counter(const char* name) {
-  return obs::registry().counter(name, obs::CounterKind::kWork).value();
-}
 
 /// The fixed request mix: `distinct` structurally different requests
 /// (path lengths), `total` requests round-robined over client threads.
@@ -45,7 +41,11 @@ std::vector<std::string> request_mix(int distinct, int total) {
     std::string edges = "[";
     for (int v = 0; v + 1 < n; ++v) {
       if (v > 0) edges += ", ";
-      edges += "[" + std::to_string(v) + ", " + std::to_string(v + 1) + "]";
+      edges += '[';
+      edges += std::to_string(v);
+      edges += ", ";
+      edges += std::to_string(v + 1);
+      edges += ']';
     }
     edges += "]";
     mix.push_back(R"({"op": "run", "machine": "degree-parity", "graph": )"
@@ -56,13 +56,12 @@ std::vector<std::string> request_mix(int distinct, int total) {
 }
 
 /// Runs the mix over `clients` threads (slice c takes indices ≡ c) and
-/// returns the (hits, misses) counter deltas for the run endpoint.
+/// returns the (hits, misses) of the service's memo-cache. The cache's
+/// own tallies exist in every build, also with observability off.
 std::pair<std::uint64_t, std::uint64_t> hammer(int clients, int distinct,
                                                int total) {
-  Service service;  // fresh cache per run; counters measured as deltas
+  Service service;  // fresh cache per run, so its tallies start at zero
   const std::vector<std::string> mix = request_mix(distinct, total);
-  const std::uint64_t hits_before = work_counter("serve.cache_hits.run");
-  const std::uint64_t misses_before = work_counter("serve.cache_misses.run");
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
@@ -80,8 +79,8 @@ std::pair<std::uint64_t, std::uint64_t> hammer(int clients, int distinct,
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  return {work_counter("serve.cache_hits.run") - hits_before,
-          work_counter("serve.cache_misses.run") - misses_before};
+  const MemoCache::Stats stats = service.cache().stats();
+  return {stats.hits, stats.misses};
 }
 
 TEST(ServeParallel, CacheHitCountersAreClientCountInvariant) {
