@@ -26,8 +26,9 @@
 // smallest non-singleton class (the target cell), individualise each
 // member in turn and recurse. The certificate is the lexicographic
 // minimum over all leaves. Leaves that tie with the current best yield
-// automorphisms (compose the two labellings); branches whose root is in
-// the orbit of an already-explored branch under automorphisms fixing the
+// automorphisms (compose the two labellings) and unwind the search to the
+// two leaves' common ancestor; branches whose root is in the orbit of an
+// already-explored branch under automorphisms fixing the
 // individualisation path are pruned.
 #pragma once
 

@@ -11,14 +11,26 @@
 //    previous partition. The worklist path (bisim/bisimulation.hpp) must
 //    match it exactly: same block ids, same round count. It stays off
 //    the obs counters so reference runs never perturb gated totals.
+//  - canonical_form_reference / refine_colours_reference: the
+//    pre-arena canonical-form engine — per-vertex signature vectors
+//    ranked through a std::map every round, certificates built by
+//    sorting every edge pair and printing it with std::to_string, and an
+//    orbit union-find rebuilt over every generator for every candidate,
+//    with no backjumping. The shipped engine (graph/canonical.cpp) must
+//    return the same colourings, certificates and labellings; its
+//    automorphism list may be shorter but every entry must be genuine.
+//    Also off the obs counters.
 #pragma once
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bisim/bisimulation.hpp"
+#include "graph/canonical.hpp"
 #include "logic/formula.hpp"
 #include "logic/kripke.hpp"
 #include "obs/counters.hpp"
@@ -144,6 +156,213 @@ inline Partition coarsest_bisimulation_reference(const KripkeModel& k,
 inline Partition coarsest_graded_bisimulation_reference(const KripkeModel& k,
                                                         int max_rounds = -1) {
   return refine_reference_impl(k, /*graded=*/true, max_rounds);
+}
+
+// --- Canonical forms: the pre-arena engine ----------------------------------
+
+namespace canonical_reference_detail {
+
+/// Signature of v under `colour`: own colour, then per relation the
+/// sorted successor- and predecessor-colour multisets (separated so
+/// distinct positions cannot alias). Contains only colour ids, so the
+/// sorted order of signatures is invariant under vertex relabelling.
+inline std::vector<int> signature(const RelationalStructure& s,
+                                  const std::vector<int>& colour, int v) {
+  std::vector<int> sig;
+  sig.push_back(colour[v]);
+  std::vector<int> nb;
+  for (std::size_t r = 0; r < s.out.size(); ++r) {
+    nb.clear();
+    for (int w : s.out[r][v]) nb.push_back(colour[w]);
+    std::sort(nb.begin(), nb.end());
+    sig.push_back(-2);  // out-side separator
+    sig.insert(sig.end(), nb.begin(), nb.end());
+    nb.clear();
+    for (int w : s.in[r][v]) nb.push_back(colour[w]);
+    std::sort(nb.begin(), nb.end());
+    sig.push_back(-3);  // in-side separator
+    sig.insert(sig.end(), nb.begin(), nb.end());
+  }
+  return sig;
+}
+
+}  // namespace canonical_reference_detail
+
+inline std::vector<int> refine_colours_reference(const RelationalStructure& s,
+                                                 std::vector<int> colour) {
+  const int n = s.n;
+  if (n == 0) return colour;
+  // Each round renumbers classes by sorted signature order (std::map
+  // iteration), so the ids — not merely the partition — are canonical.
+  // One extra round normalises possibly non-contiguous input ids (the
+  // individualisation step doubles them).
+  for (int round = 0; round <= n + 1; ++round) {
+    std::map<std::vector<int>, int> ids;
+    std::vector<std::vector<int>> key(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) {
+      key[v] = canonical_reference_detail::signature(s, colour, v);
+      ids.emplace(key[v], 0);
+    }
+    int next_id = 0;
+    for (auto& [sig, id] : ids) id = next_id++;
+    std::vector<int> next(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) next[v] = ids.find(key[v])->second;
+    if (next == colour) break;
+    colour = std::move(next);
+  }
+  return colour;
+}
+
+namespace canonical_reference_detail {
+
+/// Serialises the structure under a discrete colouring (= labelling).
+/// Initial colours come first — two certificates are equal iff the
+/// relabelled structures coincide, valuation content included.
+inline std::string certify(const RelationalStructure& s,
+                           const std::vector<int>& lab) {
+  const int n = s.n;
+  std::vector<int> inv(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) inv[lab[v]] = v;
+  std::string cert = s.header;
+  cert += "n";
+  cert += std::to_string(n);
+  cert += ";c:";
+  for (int i = 0; i < n; ++i) {
+    cert += std::to_string(s.colour[inv[i]]);
+    cert += ',';
+  }
+  std::vector<std::pair<int, int>> edges;
+  for (std::size_t r = 0; r < s.out.size(); ++r) {
+    cert += "|r";
+    cert += std::to_string(r);
+    cert += ':';
+    edges.clear();
+    for (int v = 0; v < n; ++v) {
+      for (int w : s.out[r][v]) edges.emplace_back(lab[v], lab[w]);
+    }
+    std::sort(edges.begin(), edges.end());
+    for (const auto& [a, b] : edges) {
+      cert += std::to_string(a);
+      cert += '>';
+      cert += std::to_string(b);
+      cert += ',';
+    }
+  }
+  return cert;
+}
+
+struct CanonSearch {
+  const RelationalStructure& s;
+  CanonicalForm best;
+  bool have_best = false;
+  std::vector<int> path;  // individualised vertices, root to current
+
+  explicit CanonSearch(const RelationalStructure& structure) : s(structure) {}
+
+  void leaf(const std::vector<int>& lab) {
+    std::string cert = certify(s, lab);
+    if (!have_best || cert < best.certificate) {
+      best.certificate = std::move(cert);
+      best.labelling = lab;
+      have_best = true;
+      return;
+    }
+    if (cert != best.certificate) return;
+    // Two labellings with identical images compose to an automorphism:
+    // a = best_lab^{-1} ∘ lab.
+    const int n = s.n;
+    std::vector<int> inv(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) inv[best.labelling[v]] = v;
+    std::vector<int> a(static_cast<std::size_t>(n));
+    bool identity = true;
+    for (int v = 0; v < n; ++v) {
+      a[v] = inv[lab[v]];
+      if (a[v] != v) identity = false;
+    }
+    if (!identity &&
+        std::find(best.automorphisms.begin(), best.automorphisms.end(), a) ==
+            best.automorphisms.end()) {
+      best.automorphisms.push_back(std::move(a));
+    }
+  }
+
+  /// True if v lies in the orbit of an already-explored branch root under
+  /// the discovered automorphisms that fix the current path pointwise —
+  /// such a subtree reproduces an explored subtree's certificates exactly.
+  bool pruned(int v, const std::vector<int>& tried) const {
+    const int n = s.n;
+    std::vector<int> parent(static_cast<std::size_t>(n));
+    std::iota(parent.begin(), parent.end(), 0);
+    auto find = [&](int x) {
+      while (parent[x] != x) x = parent[x] = parent[parent[x]];
+      return x;
+    };
+    for (const std::vector<int>& a : best.automorphisms) {
+      bool fixes_path = true;
+      for (int p : path) {
+        if (a[p] != p) {
+          fixes_path = false;
+          break;
+        }
+      }
+      if (!fixes_path) continue;
+      for (int u = 0; u < n; ++u) {
+        const int ru = find(u), rv = find(a[u]);
+        if (ru != rv) parent[ru] = rv;
+      }
+    }
+    const int rv = find(v);
+    for (int u : tried) {
+      if (find(u) == rv) return true;
+    }
+    return false;
+  }
+
+  void run(const std::vector<int>& colour) {
+    const int n = s.n;
+    const int num_colours =
+        n == 0 ? 0 : *std::max_element(colour.begin(), colour.end()) + 1;
+    if (num_colours == n) {
+      leaf(colour);
+      return;
+    }
+    // Target cell: the smallest non-singleton class, lowest colour id on
+    // ties — both invariants, so every relabelling branches on the same
+    // cell.
+    std::vector<int> size(static_cast<std::size_t>(num_colours), 0);
+    for (int v = 0; v < n; ++v) ++size[colour[v]];
+    int target = -1;
+    for (int c = 0; c < num_colours; ++c) {
+      if (size[c] < 2) continue;
+      if (target == -1 || size[c] < size[target]) target = c;
+    }
+    std::vector<int> tried;
+    for (int v = 0; v < n; ++v) {
+      if (colour[v] != target) continue;
+      if (!tried.empty() && pruned(v, tried)) continue;
+      tried.push_back(v);
+      // Individualise v: a fresh colour sorted immediately before its
+      // class (2c-1 between 2(c-1) and 2c), preserving canonical order.
+      std::vector<int> ind(colour);
+      for (int& c : ind) c *= 2;
+      ind[v] -= 1;
+      path.push_back(v);
+      run(refine_colours_reference(s, std::move(ind)));
+      path.pop_back();
+    }
+  }
+};
+
+}  // namespace canonical_reference_detail
+
+inline CanonicalForm canonical_form_reference(const RelationalStructure& s) {
+  canonical_reference_detail::CanonSearch search(s);
+  if (s.n == 0) {
+    search.best.certificate = canonical_reference_detail::certify(s, {});
+    return std::move(search.best);
+  }
+  search.run(refine_colours_reference(s, s.colour));
+  return std::move(search.best);
 }
 
 }  // namespace wm

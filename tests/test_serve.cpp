@@ -301,6 +301,23 @@ TEST(ServeErrors, DeadlineAlreadyExpired) {
   }
 }
 
+TEST(ServeLimits, SymmetricGraphAtTheNodeCapCanonicalises) {
+  // The edgeless graph on the 128-node cap is the most symmetric input
+  // `canon` accepts. A search that does not unwind on certificate ties
+  // grows as ~n^6 on it (seconds already at n = 48) and pins a worker.
+  Service service;
+  const Json j = parse_json(service.handle_line(
+      R"({"op": "canon", "kind": "graph", "graph": {"n": 128, "edges": []}})"));
+  ASSERT_TRUE(j.find("ok")->as_bool());
+  const Json* result = j.find("result");
+  EXPECT_EQ(result->find("n")->as_int(), 128);
+  EXPECT_EQ(result->find("labelling")->items().size(), 128u);
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(canonical_hash(Graph(128))));
+  EXPECT_EQ(result->find("hash")->as_string(), hash);
+}
+
 // --- 3. Differential: served == direct --------------------------------------
 
 std::vector<int> holds_from_reply(const std::string& reply) {
