@@ -1,6 +1,6 @@
 // Dedup-table contention microbench: the lock-free LockfreeMinMap
 // (util/lockfree_set.hpp, the engine under every ParallelVisitor
-// dedup_scan) under insert-heavy (mostly fresh keys) and hit-heavy (few
+// dedup_stream) under insert-heavy (mostly fresh keys) and hit-heavy (few
 // keys, endless re-encounters) mixes at 1/4/8/16 threads.
 //
 // Determinism: the thread sweep is FIXED (1/4/8/16) regardless of

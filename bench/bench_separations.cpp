@@ -99,10 +99,13 @@ void search_thm13_witnesses(ThreadPool& pool) {
   const benchutil::Timer t_enum;
   std::vector<Graph> candidates;
   for (int n = 3; n <= 6; ++n) {
-    enumerate_graphs_modulo_iso_parallel(n, opts, pool, [&](const Graph& g) {
-      candidates.push_back(g);
-      return true;
-    });
+    enumerate_graphs_modulo_iso(
+        n, opts,
+        [&](const Graph& g) {
+          candidates.push_back(g);
+          return true;
+        },
+        &pool);
   }
   const double enum_ms = t_enum.ms();
   benchutil::report_phase("thm13 enumerate", enum_ms, candidates.size());

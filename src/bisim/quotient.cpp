@@ -98,16 +98,16 @@ QuotientSearchResult search_distinct_quotients(
   // Pass 1: canonical fingerprint -> lowest input index. The visitor
   // drives per-candidate minimisation AND canonicalisation; the per-key
   // minimum is a pure function of the scanned family, independent of
-  // thread timing — the same dedup_scan contract the enumerations use.
+  // thread timing — the same dedup_stream contract the enumerator uses.
   // The key is complete, so each class is one isomorphism class.
-  ParallelVisitor visitor(pool);
-  visitor.dedup_scan<std::string>(
-      count,
+  const ParallelVisitor visitor(pool);
+  visitor.dedup_stream<std::string>(
+      0, count,
       [&](std::uint64_t i, auto&& emit) {
         emit(model_fingerprint(minimise_at(i)));
         progress.tick();
       },
-      [&](std::uint64_t rep) {
+      [&](const std::string&, std::uint64_t rep) {
         result.representatives.push_back(rep);
         return true;
       });

@@ -82,8 +82,7 @@ int linear_order_level(ProblemClass c) {
   return -1;
 }
 
-SeparationCheck check_separation(const SeparationWitness& w,
-                                 ThreadPool* pool) {
+SeparationCheck check_separation(const SeparationWitness& w) {
   SeparationCheck result;
   const Variant variant = kripke_variant_for(w.excluded_from);
   const KripkeModel k = kripke_from_graph(w.numbering, variant);
@@ -97,8 +96,7 @@ SeparationCheck check_separation(const SeparationWitness& w,
   for (std::size_t i = 1; i < w.x.size(); ++i) {
     if (!p.same_block(w.x[0], w.x[i])) result.x_bisimilar = false;
   }
-  result.solutions_split_x =
-      every_solution_splits(*w.problem, w.graph, w.x, pool);
+  result.solutions_split_x = every_solution_splits(*w.problem, w.graph, w.x);
   return result;
 }
 

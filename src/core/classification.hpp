@@ -25,8 +25,6 @@
 
 namespace wm {
 
-class ThreadPool;
-
 enum class ProblemClass { SB, MB, VB, SV, MV, VV, VVc };
 
 std::string problem_class_name(ProblemClass c);
@@ -72,11 +70,8 @@ struct SeparationCheck {
   }
 };
 
-/// Runs the Corollary 3 recipe on a witness. A pool parallelises the
-/// brute-force "every solution splits X" scan (part 3); the boolean
-/// outcome is trivially thread-count-invariant.
-SeparationCheck check_separation(const SeparationWitness& w,
-                                 ThreadPool* pool = nullptr);
+/// Runs the Corollary 3 recipe on a witness.
+SeparationCheck check_separation(const SeparationWitness& w);
 
 /// Theorem 11: leaf-in-star on the k-star (k >= 2), any port numbering —
 /// the k leaves are bisimilar in K_{+,-}. Proves VB != SV.

@@ -1,6 +1,5 @@
 #include "core/solvability.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "obs/counters.hpp"
@@ -12,61 +11,28 @@
 namespace wm {
 
 ScopedInstance instance_for(const Problem& problem, PortNumbering numbering,
-                            ThreadPool* pool, const CancelToken* cancel) {
+                            const CancelToken* cancel) {
   WM_TRACE_SCOPE("solvability.instance");
   WM_TIME_SCOPE("solvability.instance");
   WM_COUNT(solvability.instances);
   ScopedInstance inst;
   const Graph& g = numbering.graph();
   std::optional<std::vector<int>> unique;
-  if (pool != nullptr) {
-    const auto space = output_space_size(problem, g);
-    if (!space) {
-      throw std::invalid_argument(
-          "instance_for: output space too large to scan");
-    }
-    // Chunk-ordered reduction to (lowest valid index, number of valid
-    // outputs): a pure function of the output space, so the scan agrees
-    // with the sequential odometer at any thread count.
-    constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
-    struct Acc {
-      std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
-      std::uint64_t count = 0;
-    };
-    const Acc acc = ParallelVisitor(pool).reduce<Acc>(
-        *space, Acc{},
-        [&](std::uint64_t i) -> Acc {
-          const std::vector<int> out = output_for_index(problem, g, i);
-          if (problem.valid(g, out)) return Acc{i, 1};
-          return Acc{kNone, 0};
-        },
-        [](Acc a, Acc b) {
-          return Acc{a.first < b.first ? a.first : b.first,
-                     a.count + b.count};
-        });
-    if (acc.count > 1) {
-      throw std::invalid_argument(
-          "instance_for: problem has multiple valid solutions on this graph");
-    }
-    if (acc.count == 1) unique = output_for_index(problem, g, acc.first);
-    WM_COUNT_ADD(solvability.outputs_scanned, *space);
-  } else {
-    std::uint64_t scanned = 0;
-    for_each_output(problem, g, [&](const std::vector<int>& out) {
-      ++scanned;
-      if ((scanned & 1023) == 0) poll_cancel(cancel);
-      if (problem.valid(g, out)) {
-        if (unique) {
-          throw std::invalid_argument(
-              "instance_for: problem has multiple valid solutions on this "
-              "graph");
-        }
-        unique = out;
+  std::uint64_t scanned = 0;
+  for_each_output(problem, g, [&](const std::vector<int>& out) {
+    ++scanned;
+    if ((scanned & 1023) == 0) poll_cancel(cancel);
+    if (problem.valid(g, out)) {
+      if (unique) {
+        throw std::invalid_argument(
+            "instance_for: problem has multiple valid solutions on this "
+            "graph");
       }
-      return true;
-    });
-    WM_COUNT_ADD(solvability.outputs_scanned, scanned);
-  }
+      unique = out;
+    }
+    return true;
+  });
+  WM_COUNT_ADD(solvability.outputs_scanned, scanned);
   if (!unique) {
     throw std::invalid_argument("instance_for: problem has no valid solution");
   }
@@ -77,7 +43,7 @@ ScopedInstance instance_for(const Problem& problem, PortNumbering numbering,
 
 SolvabilityReport analyse_solvability(const std::vector<ScopedInstance>& scope,
                                       ProblemClass c, int delta,
-                                      int max_rounds, ThreadPool* pool,
+                                      int max_rounds,
                                       const CancelToken* cancel) {
   WM_TRACE_SCOPE("solvability.analyse");
   WM_TIME_SCOPE("solvability.analyse");
@@ -118,10 +84,11 @@ SolvabilityReport analyse_solvability(const std::vector<ScopedInstance>& scope,
 
   SolvabilityReport report;
   // The t-step refinements are independent recomputations; both scans
-  // are lowest-witness searches, so the report is deterministic. The
-  // monochromatic search range never probes beyond the fixpoint round
-  // (nor beyond the cap).
-  ParallelVisitor visitor(pool);
+  // are lowest-witness searches. They run inline, inside the visitor's
+  // speculative scope, so the refinements' work counters stay out of the
+  // gated totals. The monochromatic search range never probes beyond the
+  // fixpoint round (nor beyond the cap).
+  const ParallelVisitor visitor(nullptr);
   const auto fix = visitor.find_first(
       1, static_cast<std::uint64_t>(max_rounds) + 1, [&](std::uint64_t t) {
         const int ti = static_cast<int>(t);

@@ -22,7 +22,6 @@
 namespace wm {
 
 class CancelToken;
-class ThreadPool;
 
 struct ScopedInstance {
   PortNumbering numbering;
@@ -42,35 +41,24 @@ struct SolvabilityReport {
 
 /// Analyses solvability of the target outputs in problem class `c` over
 /// the scope. All instances must share max degree <= delta (pass the
-/// common Delta so degree propositions align).
-///
-/// With a pool, the per-round-bound refinements (independent
-/// computations: the t-step partition is rebuilt from scratch per t,
-/// exactly as the sequential loop does) are scanned with
-/// parallel_find_first — min_rounds and fixpoint_rounds are lowest
-/// witnesses, so the report is identical at any thread count.
+/// common Delta so degree propositions align). The per-round-bound
+/// refinements (the t-step partition is rebuilt from scratch per t) are
+/// lowest-witness scans, so min_rounds and fixpoint_rounds are the
+/// smallest qualifying t.
 ///
 /// `cancel` (util/cancel.hpp) is polled once per per-round-bound
-/// refinement; an expired token aborts with CancelledError. Sequential
-/// callers only — the parallel scans run the refinements inside
-/// speculative predicates whose exception contract already covers
-/// cancellation, but the serving layer always calls this pool-less.
+/// refinement; an expired token aborts with CancelledError.
 SolvabilityReport analyse_solvability(const std::vector<ScopedInstance>& scope,
                                       ProblemClass c, int delta,
                                       int max_rounds = 64,
-                                      ThreadPool* pool = nullptr,
                                       const CancelToken* cancel = nullptr);
 
 /// Builds a scope from graphs: instances get the given numberings and
 /// targets from a uniquely-solvable problem's solution (computed by
 /// brute force over the output alphabet via the verifier — the problem
 /// must have exactly one valid solution per graph; throws otherwise).
-/// With a pool the |Y|^n output scan runs as a chunk-ordered parallel
-/// reduction (lowest valid index + validity count), so the instance —
-/// and the thrown diagnostics — match the sequential scan exactly.
-/// `cancel` is polled every 1024 outputs in the sequential scan.
+/// `cancel` is polled every 1024 outputs.
 ScopedInstance instance_for(const Problem& problem, PortNumbering numbering,
-                            ThreadPool* pool = nullptr,
                             const CancelToken* cancel = nullptr);
 
 }  // namespace wm

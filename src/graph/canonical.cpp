@@ -8,6 +8,7 @@
 #include "graph/graph.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
+#include "util/cancel.hpp"
 
 namespace wm {
 
@@ -185,6 +186,7 @@ struct CanonSearch {
   };
 
   const RelationalStructure& s;
+  const CancelToken* cancel;
   Refiner refiner;
   CanonicalForm best;
   bool have_best = false;
@@ -200,8 +202,9 @@ struct CanonSearch {
   std::size_t cert_reserve = 0;  // capacity that fits every certificate
   std::uint64_t rounds = 0, leaves = 0, orbit_prunes = 0;
 
-  explicit CanonSearch(const RelationalStructure& structure)
+  CanonSearch(const RelationalStructure& structure, const CancelToken* token)
       : s(structure),
+        cancel(token),
         refiner(structure),
         level(static_cast<std::size_t>(structure.n) + 1) {
     // A printed int takes at most 11 chars; an edge prints two.
@@ -322,6 +325,7 @@ struct CanonSearch {
   }
 
   void run(std::size_t depth) {
+    poll_cancel(cancel);
     const int n = s.n;
     Level& node = level[depth];
     const std::vector<int>& colour = node.colour;
@@ -375,10 +379,11 @@ std::uint64_t certificate_hash(const std::string& certificate) {
   return h;
 }
 
-CanonicalForm canonical_form(const RelationalStructure& s) {
+CanonicalForm canonical_form(const RelationalStructure& s,
+                             const CancelToken* cancel) {
   WM_TIME_SCOPE("canonical.form");
   WM_COUNT(canonical.forms);
-  CanonSearch search(s);
+  CanonSearch search(s, cancel);
   if (s.n == 0) {
     search.certify({}, search.best.certificate);
     return std::move(search.best);
@@ -413,8 +418,8 @@ RelationalStructure structure_of(const Graph& g) {
   return s;
 }
 
-CanonicalForm canonical_form(const Graph& g) {
-  return canonical_form(structure_of(g));
+CanonicalForm canonical_form(const Graph& g, const CancelToken* cancel) {
+  return canonical_form(structure_of(g), cancel);
 }
 
 std::string canonical_certificate(const Graph& g) {

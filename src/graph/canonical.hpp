@@ -6,9 +6,8 @@
 // symmetric isomorphic structures can fingerprint apart. This module
 // computes a *complete* isomorphism key: two structures have equal
 // certificates if and ONLY if they are isomorphic. That turns dedup tables into exact
-// iso-free generation (enumerate_graphs_modulo_iso, the quotient search)
-// and replaces the exponential backtracking isomorphism test beyond the
-// exhaustive cutoff.
+// iso-free generation (enumerate_graphs_modulo_iso, the census, the
+// quotient search) and makes isomorphism a certificate comparison.
 //
 // Everything reduces to one carrier, RelationalStructure: n vertices with
 // an initial colouring plus a list of binary relations. Graph maps to a
@@ -38,6 +37,7 @@
 
 namespace wm {
 
+class CancelToken;
 class Graph;
 class PortNumbering;
 class KripkeModel;
@@ -85,8 +85,12 @@ struct CanonicalForm {
 std::vector<int> refine_colours(const RelationalStructure& s,
                                 std::vector<int> colour);
 
-/// Individualisation–refinement canonical labelling of `s`.
-CanonicalForm canonical_form(const RelationalStructure& s);
+/// Individualisation–refinement canonical labelling of `s`. `cancel`
+/// (util/cancel.hpp) is polled once per search-tree node, so a request
+/// deadline interrupts even a highly symmetric input; an expired token
+/// aborts with CancelledError. The result never depends on the token.
+CanonicalForm canonical_form(const RelationalStructure& s,
+                             const CancelToken* cancel = nullptr);
 
 /// FNV-1a of a certificate — the canonical_hash of every reduction kind.
 std::uint64_t certificate_hash(const std::string& certificate);
@@ -94,12 +98,12 @@ std::uint64_t certificate_hash(const std::string& certificate);
 // --- Plain graphs (defined in wm_graph) -------------------------------------
 
 RelationalStructure structure_of(const Graph& g);
-CanonicalForm canonical_form(const Graph& g);
+CanonicalForm canonical_form(const Graph& g,
+                             const CancelToken* cancel = nullptr);
 std::string canonical_certificate(const Graph& g);
 std::uint64_t canonical_hash(const Graph& g);
 /// Exact isomorphism via certificate equality — complete at any size, no
-/// backtracking. find_isomorphism (graph/isomorphism.hpp) routes here
-/// beyond its exhaustive cutoff.
+/// backtracking.
 bool is_isomorphic(const Graph& g, const Graph& h);
 
 // --- Port-numbered graphs (defined in wm_port) ------------------------------
@@ -107,7 +111,8 @@ bool is_isomorphic(const Graph& g, const Graph& h);
 /// Isomorphism notion: a node bijection preserving adjacency AND both
 /// port families (out_v, in_v) — i.e. the relations R_(i,j).
 RelationalStructure structure_of(const PortNumbering& p);
-CanonicalForm canonical_form(const PortNumbering& p);
+CanonicalForm canonical_form(const PortNumbering& p,
+                             const CancelToken* cancel = nullptr);
 std::string canonical_certificate(const PortNumbering& p);
 std::uint64_t canonical_hash(const PortNumbering& p);
 bool is_isomorphic(const PortNumbering& p, const PortNumbering& q);
@@ -118,7 +123,8 @@ bool is_isomorphic(const PortNumbering& p, const PortNumbering& q);
 /// relation and the valuation of every proposition (registered-but-empty
 /// relations count, matching the bisimulation layer's treatment).
 RelationalStructure structure_of(const KripkeModel& k);
-CanonicalForm canonical_form(const KripkeModel& k);
+CanonicalForm canonical_form(const KripkeModel& k,
+                             const CancelToken* cancel = nullptr);
 std::string canonical_certificate(const KripkeModel& k);
 std::uint64_t canonical_hash(const KripkeModel& k);
 bool is_isomorphic(const KripkeModel& a, const KripkeModel& b);

@@ -61,8 +61,8 @@ RelationalStructure structure_of(const KripkeModel& k) {
   return s;
 }
 
-CanonicalForm canonical_form(const KripkeModel& k) {
-  return canonical_form(structure_of(k));
+CanonicalForm canonical_form(const KripkeModel& k, const CancelToken* cancel) {
+  return canonical_form(structure_of(k), cancel);
 }
 
 std::string canonical_certificate(const KripkeModel& k) {

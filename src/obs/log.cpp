@@ -28,6 +28,8 @@ const char* log_level_name(LogLevel level) noexcept {
 #include <ctime>
 #include <mutex>
 
+#include "obs/json_escape.hpp"
+
 namespace wm::obs {
 
 namespace {
@@ -57,33 +59,6 @@ thread_local std::uint64_t t_current_rid = 0;
 LogState& state() {
   static LogState* s = new LogState();
   return *s;
-}
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 /// UTC wallclock with millisecond precision: 2026-08-09T12:34:56.789Z.
@@ -259,7 +234,7 @@ LogEvent::LogEvent(LogLevel level, std::string_view event) {
   body_ += "\", \"level\": \"";
   body_ += log_level_name(level);
   body_ += "\", \"event\": \"";
-  append_escaped(body_, event);
+  append_json_escaped(body_, event);
   body_ += "\"";
   if (const std::uint64_t rid = current_request_id(); rid != 0) {
     body_ += ", \"rid\": ";
@@ -278,7 +253,7 @@ LogEvent& LogEvent::str(std::string_view key, std::string_view value) {
   body_ += ", \"";
   body_ += key;
   body_ += "\": \"";
-  append_escaped(body_, value);
+  append_json_escaped(body_, value);
   body_ += "\"";
   return *this;
 }

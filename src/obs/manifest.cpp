@@ -1,12 +1,12 @@
 #include "obs/manifest.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <mutex>
 #include <string_view>
 
+#include "obs/json_escape.hpp"
 #include "obs/trace.hpp"
 
 // Baked in by src/obs/CMakeLists.txt at configure time; the fallbacks
@@ -35,25 +35,6 @@ std::string iso8601_utc(std::chrono::system_clock::time_point tp) {
   char buf[32];
   std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
   return buf;
-}
-
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void append_json_string(std::string& out, std::string_view text) {

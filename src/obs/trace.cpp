@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
+#include "obs/json_escape.hpp"
 #include "obs/log.hpp"
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -50,33 +50,6 @@ std::uint32_t tid_for_current_thread(TraceState& s) {
   return it->second;
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 bool trace_enabled() noexcept {
@@ -115,7 +88,7 @@ bool trace_stop() {
     line.clear();
     if (i) line += ',';
     line += "\n{\"name\":\"";
-    append_escaped(line, e.name);
+    append_json_escaped(line, e.name);
     line += "\",\"ph\":\"X\",\"ts\":";
     line += std::to_string(e.begin_us);
     line += ",\"dur\":";

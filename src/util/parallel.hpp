@@ -4,10 +4,10 @@
 // port numberings at small scopes, so the hot path is embarrassingly
 // parallel. This module provides the one shared engine for it: a small
 // work-stealing thread pool plus three data-parallel helpers —
-// `parallel_for`, a chunked `parallel_reduce`, and a cancellable
-// `parallel_find_first` whose result is *deterministic* (the witness with
-// the lowest index), so early-stop searches stay reproducible regardless
-// of thread timing.
+// `parallel_for`, the chunked `parallel_chunks` they all run on, and a
+// cancellable `parallel_find_first` whose result is *deterministic* (the
+// witness with the lowest index), so early-stop searches stay
+// reproducible regardless of thread timing.
 //
 // Concurrency contract: the pool never touches user state; the helpers
 // invoke the supplied callable from several threads at once, so the
@@ -17,8 +17,7 @@
 // have drained.
 //
 // A pool of size 1 spawns no threads at all: every helper then runs
-// inline in the calling thread, in index order — the sequential entry
-// points of the layers above are thin wrappers around this case.
+// inline in the calling thread, in index order.
 #pragma once
 
 #include <atomic>
@@ -88,44 +87,13 @@ class ThreadPool {
   /// `worker` in [0, num_threads()) identifying the executor, stable for
   /// the duration of the call — use it to index per-thread scratch or
   /// per-thread consumers. Within one worker chunks arrive in increasing
-  /// order; across workers the interleaving is unspecified.
+  /// order; across workers the interleaving is unspecified. The shared
+  /// driver of every helper: executors claim chunks from one atomic
+  /// cursor, and an exception cancels the chunks not yet claimed.
   void parallel_chunks(
       std::uint64_t begin, std::uint64_t end,
       const std::function<void(std::uint64_t, std::uint64_t, int)>& body,
       std::uint64_t chunk = 0);
-
-  /// Cancellable form of parallel_chunks: body returns false to cancel
-  /// all chunks not yet claimed (chunks already running finish normally).
-  /// Used by early-stopping enumerations.
-  void parallel_chunks_until(
-      std::uint64_t begin, std::uint64_t end,
-      const std::function<bool(std::uint64_t, std::uint64_t, int)>& body,
-      std::uint64_t chunk = 0);
-
-  /// Chunked reduction: acc = combine(acc, map(i)) within each chunk,
-  /// partials combined across chunks *in chunk order*, so the result is
-  /// deterministic for any associative (not necessarily commutative)
-  /// combine, at any thread count.
-  template <typename T, typename Map, typename Combine>
-  T parallel_reduce(std::uint64_t begin, std::uint64_t end, T identity,
-                    Map&& map, Combine&& combine, std::uint64_t chunk = 0) {
-    if (begin >= end) return identity;
-    const std::uint64_t c = chunk_size(begin, end, chunk);
-    const std::uint64_t nchunks = (end - begin + c - 1) / c;
-    std::vector<T> partial(static_cast<std::size_t>(nchunks), identity);
-    parallel_chunks(
-        begin, end,
-        [&](std::uint64_t lo, std::uint64_t hi, int) {
-          const std::uint64_t ci = (lo - begin) / c;
-          T acc = identity;
-          for (std::uint64_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
-          partial[static_cast<std::size_t>(ci)] = std::move(acc);
-        },
-        c);
-    T acc = std::move(identity);
-    for (T& p : partial) acc = combine(std::move(acc), std::move(p));
-    return acc;
-  }
 
   /// Cancellable early-stop search: the lowest i in [begin, end) with
   /// pred(i), or nullopt. Deterministic: chunks are claimed in increasing
@@ -152,14 +120,6 @@ class ThreadPool {
                            std::uint64_t requested) const;
   void worker_loop(int index);
   bool run_one_task();
-
-  /// Shared driver for the chunked helpers: every executor claims chunks
-  /// from an atomic cursor; returns when all chunks are done on all
-  /// executors. `body(lo, hi, worker)` returns false to cancel remaining
-  /// chunks.
-  void run_chunked(
-      std::uint64_t begin, std::uint64_t end, std::uint64_t chunk,
-      const std::function<bool(std::uint64_t, std::uint64_t, int)>& body);
 
   int executors_ = 1;
   std::vector<std::thread> workers_;

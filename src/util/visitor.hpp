@@ -2,42 +2,36 @@
 //
 // Every search in this repo quantifies over an indexed candidate space —
 // edge masks, port numberings, block colourings, anchor assignments —
-// and needs one of four shapes:
+// and needs one of three shapes:
 //
-//   dedup_scan   visit all candidates, keep one representative per
-//                equivalence class (lowest index), stream representatives
-//                in index order
-//   dedup_stream dedup_scan over a sub-range, streaming (key, rep) pairs
-//                so batched callers can dedup across batches (the
-//                streaming census of src/store)
+//   dedup_stream visit a range of candidates, keep one representative
+//                per equivalence class (lowest index), stream (key, rep)
+//                pairs in index order
 //   find_first   lowest index satisfying a predicate (early stop)
 //   for_each     independent per-index work into caller-owned slots
-//   reduce       chunk-ordered deterministic fold
 //
 // ParallelVisitor provides exactly those, runs them on the work-stealing
 // ThreadPool when one is supplied and inline (index order, zero threads)
 // when not, and owns the determinism contract in both modes: the result
 // of every method is a pure function of the candidate space, never of
 // thread timing. Searches above this layer (graph/enumerate,
-// bisim/quotient, cover/covering, core/decision, core/solvability,
-// core/synthesis, problems/catalogue) declare *what* to scan; this file
-// is the only place that knows *how* — DiVinE's shape: one generic
-// visitor driving all algorithms over one concurrent dedup table
-// (util/lockfree_set.hpp).
+// bisim/quotient, store/census, cover/covering, core/decision,
+// core/solvability, core/synthesis, problems/catalogue) declare *what* to
+// scan; this file is the only place that knows *how* — DiVinE's shape:
+// one generic visitor driving all algorithms over one concurrent dedup
+// table (util/lockfree_set.hpp).
 //
 // Determinism contracts (see DESIGN.md "Parallel visitor core"):
-//  - dedup_scan keeps the *lowest* index per key (LockfreeMinMap's
-//    min-merge) and replays representatives sorted, so the streamed
-//    sequence is identical at any worker count — and identical to the
-//    sequential first-seen order, because a full in-order scan's first
-//    occurrence IS the lowest index.
+//  - dedup_stream keeps the *lowest* index per key (LockfreeMinMap's
+//    min-merge) and replays pairs sorted, so the streamed sequence is
+//    identical at any worker count — and identical to the sequential
+//    first-seen order, because an in-order scan's first occurrence IS
+//    the lowest index.
 //  - find_first delegates to ThreadPool::parallel_find_first
 //    (lowest-witness contract); the inline path scans in order. Both run
 //    the predicate inside obs::SpeculativeScope, so work counters hit
 //    from predicates count 0 everywhere instead of a timing-dependent
 //    amount.
-//  - reduce combines partials in chunk order (associativity suffices,
-//    commutativity is not required).
 #pragma once
 
 #include <algorithm>
@@ -57,98 +51,40 @@ namespace wm {
 class ParallelVisitor {
  public:
   /// `pool` may be nullptr: every method then runs inline in the calling
-  /// thread, in index order — the sequential entry points of the layers
-  /// above are thin wrappers around this case.
+  /// thread, in index order.
   explicit ParallelVisitor(ThreadPool* pool) : pool_(pool) {}
 
-  bool parallel() const { return pool_ != nullptr; }
-  int workers() const { return pool_ == nullptr ? 1 : pool_->num_threads(); }
-
-  /// Deduplicated exhaustive scan over [0, count). For each index,
-  /// visit(i, emit) classifies the candidate: emit(key) files index i
-  /// under `key` (zero emits = candidate inadmissible). The lowest index
-  /// of each class is its representative; representatives are streamed
-  /// to consume(rep) in increasing index order until consume returns
-  /// false. Returns the number of representatives streamed.
+  /// Deduplicated scan over [begin, end). For each index, visit(i, emit)
+  /// classifies the candidate: emit(key) files index i under `key` (zero
+  /// emits = candidate inadmissible). The lowest index of each key within
+  /// the range is its representative; (key, rep) pairs are streamed to
+  /// consume(key, rep) in increasing rep order until consume returns
+  /// false. Returns the number of pairs streamed.
   ///
-  /// Pooled: full frontier scan in per-worker batches into the lock-free
-  /// min-map, then sorted replay — consume's early stop ends the replay
-  /// but cannot cancel the (already complete) scan. Inline: first
-  /// occurrences stream immediately and a stop cancels the rest of the
-  /// scan. Either way the streamed prefix is the same sequence.
-  ///
-  /// Both paths emit the dedup.fresh_keys / dedup.dedup_hits work
-  /// counters (distinct keys / re-encounters across the indices actually
-  /// scanned), so pooled totals are thread-count-invariant by
-  /// construction. `expected_keys` pre-sizes the table (0 = grow
-  /// cooperatively).
-  template <typename Key, typename Hash = std::hash<Key>, typename Visit,
-            typename Consume>
-  std::size_t dedup_scan(std::uint64_t count, Visit&& visit,
-                         Consume&& consume,
-                         std::size_t expected_keys = 0) const {
-    if (pool_ != nullptr) {
-      LockfreeMinMap<Key, std::uint64_t, Hash> table(expected_keys);
-      pool_->parallel_chunks(0, count, [&](std::uint64_t lo, std::uint64_t hi,
-                                           int) {
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          visit(i, [&](Key key) { table.insert_min(std::move(key), i); });
-        }
-      });
-      std::vector<std::uint64_t> reps = table.values();
-      std::sort(reps.begin(), reps.end());
-      std::size_t streamed = 0;
-      for (const std::uint64_t rep : reps) {
-        ++streamed;
-        if (!consume(rep)) break;
-      }
-      return streamed;
-    }
-    // Inline: in-order scan, first occurrence per key streamed on the
-    // spot. Counter totals are emitted from the same two quantities the
-    // table harvest uses (inserts and distinct keys).
-    std::unordered_set<Key, Hash> seen;
-    std::uint64_t inserts = 0;
-    std::size_t streamed = 0;
-    bool stop = false;
-    for (std::uint64_t i = 0; i < count && !stop; ++i) {
-      visit(i, [&](Key key) {
-        ++inserts;
-        if (!seen.insert(std::move(key)).second || stop) return;
-        ++streamed;
-        if (!consume(i)) stop = true;
-      });
-    }
-    WM_COUNT_ADD(dedup.fresh_keys, seen.size());
-    WM_COUNT_ADD(dedup.dedup_hits, inserts - seen.size());
-    return streamed;
-  }
-
-  /// Streaming sibling of dedup_scan for *batched* scans: deduplicates
-  /// the sub-range [begin, end) and streams (key, representative) pairs
-  /// — the representative is the lowest index of the key *within this
-  /// range* — to consume(key, rep) in increasing index order until
-  /// consume returns false. Returns the number of pairs streamed.
+  /// Pooled: full scan in per-worker chunks into the lock-free min-map,
+  /// then sorted replay — consume's early stop ends the replay but cannot
+  /// cancel the (already complete) scan. Inline: first occurrences stream
+  /// immediately and a stop cancels the rest of the scan. Either way the
+  /// streamed prefix is the same sequence.
   ///
   /// Passing the key through lets a caller running consecutive batches
   /// dedup across them against longer-lived state (the disk-backed
-  /// certificate store of src/store): within-batch duplicates never
+  /// certificate store of src/store): within-range duplicates never
   /// leave this method, cross-batch duplicates are the caller's to
   /// resolve. Because batches are scanned in increasing index order and
   /// pairs replay sorted, the first batch to stream a key holds its
   /// global minimum — the lowest-witness contract survives batching.
   ///
-  /// Counter behaviour matches dedup_scan (dedup.fresh_keys /
-  /// dedup.dedup_hits per range scanned); totals are thread-count
-  /// invariant for a fixed batching, and the caller's batching must not
-  /// depend on thread count (every call site uses a fixed batch size).
-  template <typename Key, typename Hash = std::hash<Key>, typename Visit,
-            typename Consume>
+  /// Both paths emit the dedup.fresh_keys / dedup.dedup_hits work
+  /// counters (distinct keys / re-encounters across the indices actually
+  /// scanned), so pooled totals are thread-count-invariant by
+  /// construction; batched callers must fix their batch size
+  /// independently of the thread count.
+  template <typename Key, typename Visit, typename Consume>
   std::size_t dedup_stream(std::uint64_t begin, std::uint64_t end,
-                           Visit&& visit, Consume&& consume,
-                           std::size_t expected_keys = 0) const {
+                           Visit&& visit, Consume&& consume) const {
     if (pool_ != nullptr) {
-      LockfreeMinMap<Key, std::uint64_t, Hash> table(expected_keys);
+      LockfreeMinMap<Key, std::uint64_t> table;
       pool_->parallel_chunks(begin, end, [&](std::uint64_t lo,
                                              std::uint64_t hi, int) {
         for (std::uint64_t i = lo; i < hi; ++i) {
@@ -165,7 +101,10 @@ class ParallelVisitor {
       }
       return streamed;
     }
-    std::unordered_set<Key, Hash> seen;
+    // Inline: in-order scan, first occurrence per key streamed on the
+    // spot. Counter totals are emitted from the same two quantities the
+    // table harvest uses (inserts and distinct keys).
+    std::unordered_set<Key> seen;
     std::uint64_t inserts = 0;
     std::size_t streamed = 0;
     bool stop = false;
@@ -210,22 +149,6 @@ class ParallelVisitor {
       return;
     }
     for (std::uint64_t i = 0; i < count; ++i) body(i);
-  }
-
-  /// Deterministic fold of map(i) over [0, count) with an associative
-  /// combine: partials are combined in chunk order, so the result
-  /// matches the inline left fold at any worker count.
-  template <typename T, typename Map, typename Combine>
-  T reduce(std::uint64_t count, T identity, Map&& map,
-           Combine&& combine) const {
-    if (pool_ != nullptr) {
-      return pool_->parallel_reduce<T>(0, count, std::move(identity),
-                                       std::forward<Map>(map),
-                                       std::forward<Combine>(combine));
-    }
-    T acc = std::move(identity);
-    for (std::uint64_t i = 0; i < count; ++i) acc = combine(std::move(acc), map(i));
-    return acc;
   }
 
  private:

@@ -26,8 +26,8 @@
 #include "graph/canonical.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/isomorphism.hpp"
 #include "logic/kripke.hpp"
+#include "oracles.hpp"
 #include "port/port_numbering.hpp"
 #include "util/rng.hpp"
 

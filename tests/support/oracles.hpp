@@ -20,17 +20,25 @@
 //    return the same colourings, certificates and labellings; its
 //    automorphism list may be shorter but every entry must be genuine.
 //    Also off the obs counters.
+//  - find_isomorphism / are_isomorphic / is_isomorphism: an explicit
+//    isomorphism search for small graphs — joint colour refinement, then
+//    refinement-pruned backtracking; beyond 8 nodes it composes the two
+//    canonical labellings instead. Tests use it to compare independently
+//    built constructions and to check canonical-form claims. Off the obs
+//    counters.
 #pragma once
 
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bisim/bisimulation.hpp"
 #include "graph/canonical.hpp"
+#include "graph/graph.hpp"
 #include "logic/formula.hpp"
 #include "logic/kripke.hpp"
 #include "obs/counters.hpp"
@@ -363,6 +371,143 @@ inline CanonicalForm canonical_form_reference(const RelationalStructure& s) {
   }
   search.run(refine_colours_reference(s, s.colour));
   return std::move(search.best);
+}
+
+// --- Explicit graph isomorphism ---------------------------------------------
+
+namespace isomorphism_detail {
+
+/// Above this node count find_isomorphism hands over to the
+/// canonical-form path: compare certificates and, on a hit, compose the
+/// two canonical labellings into an explicit isomorphism. Below it the
+/// direct exhaustive search is cheaper than two canonicalisations.
+constexpr int kExhaustiveCutoff = 8;
+
+/// Stable colour refinement; returns per-node colours canonical across
+/// the two graphs (computed jointly so colours are comparable).
+inline std::pair<std::vector<int>, std::vector<int>> joint_refinement(
+    const Graph& g, const Graph& h) {
+  const int n = g.num_nodes();
+  std::vector<int> cg(static_cast<std::size_t>(n));
+  std::vector<int> ch(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    cg[v] = g.degree(v);
+    ch[v] = h.degree(v);
+  }
+  for (int round = 0; round < n; ++round) {
+    std::map<std::pair<int, std::vector<int>>, int> dict;
+    auto signature = [&dict](const Graph& graph, const std::vector<int>& col,
+                             int v) {
+      std::vector<int> nb;
+      for (NodeId u : graph.neighbours(v)) nb.push_back(col[u]);
+      std::sort(nb.begin(), nb.end());
+      auto [it, _] = dict.try_emplace({col[v], std::move(nb)},
+                                      static_cast<int>(dict.size()));
+      return it->second;
+    };
+    std::vector<int> ng(static_cast<std::size_t>(n)), nh(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) ng[v] = signature(g, cg, v);
+    for (int v = 0; v < n; ++v) nh[v] = signature(h, ch, v);
+    if (ng == cg && nh == ch) break;
+    cg = std::move(ng);
+    ch = std::move(nh);
+  }
+  return {cg, ch};
+}
+
+struct Matcher {
+  const Graph& g;
+  const Graph& h;
+  const std::vector<int>& cg;
+  const std::vector<int>& ch;
+  std::vector<NodeId> map;       // g -> h, -1 unset
+  std::vector<bool> used;        // h nodes taken
+
+  bool extend(NodeId v) {
+    const int n = g.num_nodes();
+    if (v == n) return true;
+    for (NodeId w = 0; w < n; ++w) {
+      if (used[w] || cg[v] != ch[w]) continue;
+      // Consistency with already-mapped neighbours (both directions).
+      bool ok = true;
+      for (NodeId u = 0; u < v && ok; ++u) {
+        if (g.has_edge(v, u) != h.has_edge(w, map[u])) ok = false;
+      }
+      if (!ok) continue;
+      map[v] = w;
+      used[w] = true;
+      if (extend(v + 1)) return true;
+      map[v] = -1;
+      used[w] = false;
+    }
+    return false;
+  }
+};
+
+}  // namespace isomorphism_detail
+
+/// An isomorphism g -> h as a node map, if one exists. Small graphs use
+/// refinement-pruned exhaustive backtracking; beyond the exhaustive
+/// cutoff (n > 8) the search routes through graph/canonical.hpp —
+/// certificates compared, canonical labellings composed into the map —
+/// so the worst case is the canonicaliser's, not exponential matching.
+inline std::optional<std::vector<NodeId>> find_isomorphism(const Graph& g,
+                                                           const Graph& h) {
+  if (g.num_nodes() != h.num_nodes() || g.num_edges() != h.num_edges()) {
+    return std::nullopt;
+  }
+  if (g.degree_sequence() != h.degree_sequence()) return std::nullopt;
+  if (g.num_nodes() > isomorphism_detail::kExhaustiveCutoff) {
+    // Canonical path (exact, no backtracking): certificates are a
+    // complete isomorphism key, and map = lab_h^{-1} ∘ lab_g is an
+    // isomorphism whenever they agree.
+    const CanonicalForm cf_g = canonical_form(g);
+    const CanonicalForm cf_h = canonical_form(h);
+    if (cf_g.certificate != cf_h.certificate) return std::nullopt;
+    std::vector<NodeId> inv_h(static_cast<std::size_t>(h.num_nodes()));
+    for (NodeId v = 0; v < h.num_nodes(); ++v) inv_h[cf_h.labelling[v]] = v;
+    std::vector<NodeId> map(static_cast<std::size_t>(g.num_nodes()));
+    for (NodeId v = 0; v < g.num_nodes(); ++v) map[v] = inv_h[cf_g.labelling[v]];
+    return map;
+  }
+  const auto [cg, ch] = isomorphism_detail::joint_refinement(g, h);
+  // Colour histograms must agree.
+  {
+    auto sorted_g = cg;
+    auto sorted_h = ch;
+    std::sort(sorted_g.begin(), sorted_g.end());
+    std::sort(sorted_h.begin(), sorted_h.end());
+    if (sorted_g != sorted_h) return std::nullopt;
+  }
+  isomorphism_detail::Matcher m{
+      g, h, cg, ch,
+      std::vector<NodeId>(static_cast<std::size_t>(g.num_nodes()), -1),
+      std::vector<bool>(static_cast<std::size_t>(g.num_nodes()), false)};
+  if (m.extend(0)) return m.map;
+  return std::nullopt;
+}
+
+inline bool are_isomorphic(const Graph& g, const Graph& h) {
+  return find_isomorphism(g, h).has_value();
+}
+
+/// Checks that perm is an isomorphism g -> h.
+inline bool is_isomorphism(const Graph& g, const Graph& h,
+                           const std::vector<NodeId>& perm) {
+  if (g.num_nodes() != h.num_nodes() ||
+      perm.size() != static_cast<std::size_t>(g.num_nodes())) {
+    return false;
+  }
+  std::vector<bool> hit(perm.size(), false);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (perm[v] < 0 || perm[v] >= h.num_nodes() || hit[perm[v]]) return false;
+    hit[perm[v]] = true;
+  }
+  if (g.num_edges() != h.num_edges()) return false;
+  for (const Edge& e : g.edges()) {
+    if (!h.has_edge(perm[e.u], perm[e.v])) return false;
+  }
+  return true;
 }
 
 }  // namespace wm

@@ -20,10 +20,10 @@
 #include "graph/enumerate.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/isomorphism.hpp"
 #include "logic/kripke.hpp"
 #include "port/port_numbering.hpp"
 #include "support/canon_harness.hpp"
+#include "support/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace wm {

@@ -1,7 +1,7 @@
-// Determinism tests for the pooled canonical paths: the parallel
+// Determinism tests for the pooled canonical paths: the pooled
 // modulo-isomorphism enumeration and the canonical-keyed quotient search
-// must be byte-identical to their sequential counterparts at every
-// thread count (the lowest-witness contract of util/parallel.hpp).
+// must be byte-identical to their inline runs at every thread count (the
+// lowest-witness contract of util/visitor.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,23 +21,16 @@
 namespace wm {
 namespace {
 
-std::vector<std::string> sequential_iso_certs(int n, const EnumerateOptions& opts) {
+std::vector<std::string> iso_certs(int n, const EnumerateOptions& opts,
+                                   ThreadPool* pool) {
   std::vector<std::string> certs;
-  enumerate_graphs_modulo_iso(n, opts, [&](const Graph& g) {
-    certs.push_back(canonical_certificate(g));
-    return true;
-  });
-  return certs;
-}
-
-std::vector<std::string> parallel_iso_certs(int n, const EnumerateOptions& opts,
-                                            int threads) {
-  ThreadPool pool(threads);
-  std::vector<std::string> certs;
-  enumerate_graphs_modulo_iso_parallel(n, opts, pool, [&](const Graph& g) {
-    certs.push_back(canonical_certificate(g));
-    return true;
-  });
+  enumerate_graphs_modulo_iso(
+      n, opts,
+      [&](const Graph& g) {
+        certs.push_back(canonical_certificate(g));
+        return true;
+      },
+      pool);
   return certs;
 }
 
@@ -48,18 +41,18 @@ TEST(CanonicalParallel, ModuloIsoEnumerationMatchesSequential) {
     for (int n = 1; n <= 5; ++n) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " connected=" + std::to_string(connected));
-      const auto seq = sequential_iso_certs(n, opts);
+      const auto seq = iso_certs(n, opts, nullptr);
       for (const int threads : {2, 8}) {
-        EXPECT_EQ(seq, parallel_iso_certs(n, opts, threads))
-            << "threads=" << threads;
+        ThreadPool pool(threads);
+        EXPECT_EQ(seq, iso_certs(n, opts, &pool)) << "threads=" << threads;
       }
     }
   }
 }
 
 TEST(CanonicalParallel, ModuloIsoRepresentativesAreLowestMask) {
-  // The parallel variant must replay the same graphs (not merely
-  // equally many): compare adjacency, not just certificates.
+  // The pooled scan must replay the same graphs (not merely equally
+  // many): compare adjacency, not just certificates.
   EnumerateOptions opts;
   opts.connected_only = false;
   std::vector<Graph> seq;
@@ -69,14 +62,17 @@ TEST(CanonicalParallel, ModuloIsoRepresentativesAreLowestMask) {
   });
   ThreadPool pool(4);
   std::size_t i = 0;
-  enumerate_graphs_modulo_iso_parallel(5, opts, pool, [&](const Graph& g) {
-    EXPECT_LT(i, seq.size());
-    if (i < seq.size()) {
-      EXPECT_EQ(seq[i], g);
-    }
-    ++i;
-    return true;
-  });
+  enumerate_graphs_modulo_iso(
+      5, opts,
+      [&](const Graph& g) {
+        EXPECT_LT(i, seq.size());
+        if (i < seq.size()) {
+          EXPECT_EQ(seq[i], g);
+        }
+        ++i;
+        return true;
+      },
+      &pool);
   EXPECT_EQ(i, seq.size());
 }
 

@@ -11,8 +11,8 @@
 #include "graph/canonical.hpp"
 #include "graph/enumerate.hpp"
 #include "graph/graph.hpp"
-#include "graph/isomorphism.hpp"
 #include "graph/properties.hpp"
+#include "support/oracles.hpp"
 
 namespace wm {
 namespace {

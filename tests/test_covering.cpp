@@ -7,10 +7,10 @@
 #include "cover/views.hpp"
 #include "graph/double_cover.hpp"
 #include "graph/generators.hpp"
-#include "graph/isomorphism.hpp"
 #include "graph/properties.hpp"
 #include "logic/kripke.hpp"
 #include "runtime/engine.hpp"
+#include "support/oracles.hpp"
 
 namespace wm {
 namespace {

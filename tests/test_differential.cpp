@@ -5,11 +5,11 @@
 // pools, over seeded-random and exhaustive small inputs, and requires
 // IDENTICAL results — witnesses included, not just verdicts. The
 // determinism contract under test: parallel_find_first returns the
-// lowest witness, dedup tables keep per-key minima, reductions are
-// chunk-ordered (see DESIGN.md). Cross-checks tie the results back to
-// the paper's semantics: synthesised machines must actually solve their
-// problem on every port numbering in scope when executed by the engine,
-// and quotient-search models must be bisimilar to what they quotient.
+// lowest witness and dedup tables keep per-key minima (see DESIGN.md).
+// Cross-checks tie the results back to the paper's semantics:
+// synthesised machines must actually solve their problem on every port
+// numbering in scope when executed by the engine, and quotient-search
+// models must be bisimilar to what they quotient.
 //
 // Suites are named differential_* so `ctest -R differential` selects
 // exactly this layer. WM_SEED=<n> narrows the random inputs to one seed
@@ -25,7 +25,6 @@
 #include "bisim/bisimulation.hpp"
 #include "bisim/quotient.hpp"
 #include "core/decision.hpp"
-#include "core/solvability.hpp"
 #include "core/synthesis.hpp"
 #include "cover/covering.hpp"
 #include "graph/generators.hpp"
@@ -213,51 +212,6 @@ TEST(differential_synthesis, MultivaluedColouring) {
         synthesise_multivalued(*problem, scope, ProblemClass::VV, opts),
         scope);
   });
-}
-
-// --- solvability -----------------------------------------------------------
-
-std::string report_summary(const SolvabilityReport& r) {
-  std::ostringstream os;
-  os << "min=" << (r.min_rounds ? std::to_string(*r.min_rounds) : "none")
-     << " fix=" << r.fixpoint_rounds << " blocks=" << r.blocks;
-  return os.str();
-}
-
-TEST(differential_solvability, InstanceTargetsAndReports) {
-  const auto problem = odd_odd_problem();
-  for (const std::uint64_t seed : seeds_under_test()) {
-    Rng rng(seed);
-    const Graph g = random_connected_graph(5, 3, 2, rng);
-    const PortNumbering p = PortNumbering::random(g, rng);
-    // instance_for: the |Y|^n output scan (chunk-ordered reduction).
-    expect_serial_equals_parallel("instance_for targets", seed,
-                                  [&](ThreadPool* pool) {
-      return vec_summary(instance_for(*problem, p, pool).target);
-    });
-    // analyse_solvability: the fixpoint + min-rounds scans.
-    const ScopedInstance inst = instance_for(*problem, p);
-    for (const ProblemClass cls :
-         {ProblemClass::SB, ProblemClass::MB, ProblemClass::VV}) {
-      expect_serial_equals_parallel("solvability report", seed,
-                                    [&](ThreadPool* pool) {
-        return report_summary(
-            analyse_solvability({inst}, cls, g.max_degree(), 16, pool));
-      });
-    }
-  }
-}
-
-TEST(differential_solvability, DegenerateRoundBounds) {
-  const auto problem = odd_odd_problem();
-  const ScopedInstance inst =
-      instance_for(*problem, PortNumbering::identity(path_graph(3)));
-  for (const int max_rounds : {0, 1}) {
-    expect_serial_equals_parallel("tiny round bound", [&](ThreadPool* pool) {
-      return report_summary(
-          analyse_solvability({inst}, ProblemClass::VV, 2, max_rounds, pool));
-    });
-  }
 }
 
 // --- quotient search -------------------------------------------------------

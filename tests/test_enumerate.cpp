@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -50,15 +51,28 @@ TEST(Enumerate, DegreeBoundsRespected) {
     EXPECT_LE(g.max_degree(), 2);
     return true;
   });
-  opts.min_degree = 2;
-  // Connected graphs on 5 nodes with all degrees exactly 2 = 5-cycles.
-  std::size_t cycles = 0;
-  enumerate_graphs(5, opts, [&](const Graph& g) {
-    EXPECT_TRUE(g.is_regular(2));
-    ++cycles;
-    return true;
-  });
-  EXPECT_EQ(cycles, 12u);  // (5-1)!/2 labelled 5-cycles
+}
+
+TEST(Enumerate, RejectsMaskSpacesBeyond64Bits) {
+  // 2^(n choose 2) edge masks fit in 64 bits only up to n = 11; every
+  // entry point refuses larger n before any mask arithmetic (at n = 12
+  // a 1 << 66 shift would silently wrap to a 4-mask "complete" scan).
+  EnumerateOptions opts;
+  opts.connected_only = false;
+  const auto never = [](const Graph&) {
+    ADD_FAILURE() << "no graph may be streamed";
+    return false;
+  };
+  for (const int n : {12, 13, 46341, -1}) {
+    EXPECT_THROW(enumerate_graphs(n, opts, never), std::invalid_argument)
+        << "n=" << n;
+    EXPECT_THROW(enumerate_graphs_modulo_iso(n, opts, never),
+                 std::invalid_argument)
+        << "n=" << n;
+    EXPECT_THROW(graph_census_space(n, opts), std::invalid_argument)
+        << "n=" << n;
+  }
+  EXPECT_EQ(graph_census_space(11, opts).count, std::uint64_t{1} << 55);
 }
 
 TEST(Enumerate, EarlyStop) {

@@ -1,10 +1,11 @@
-#include "graph/isomorphism.hpp"
-
+// The explicit isomorphism search of tests/support/oracles.hpp, pinned
+// on its own before other suites rely on it.
 #include <gtest/gtest.h>
 
 #include "graph/double_cover.hpp"
 #include "cover/covering.hpp"
 #include "graph/generators.hpp"
+#include "support/oracles.hpp"
 
 namespace wm {
 namespace {

@@ -1,6 +1,6 @@
 // The lock-free dedup table under real concurrency.
 //
-// LockfreeMinMap is the engine under every dedup_scan (util/visitor.hpp),
+// LockfreeMinMap is the engine under every dedup_stream (util/visitor.hpp),
 // so its contract gets the full treatment: multi-worker hammer tests at 8
 // and 16 threads (the TSan CI job runs this suite via the `parallel`
 // label), fill-to-capacity and cooperative-growth paths, and a

@@ -23,6 +23,7 @@
 #include "logic/kripke.hpp"
 #include "obs/env.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json_escape.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/progress.hpp"
@@ -336,6 +337,34 @@ TEST(ObsHistogram, TimeScopeRecordsOneSampleAndTimingsJsonIsWellFormed) {
 
 // --- Run manifest ----------------------------------------------------------
 
+TEST(ObsJson, EscaperTable) {
+  // The one escaper behind traces, logs, manifests and serve replies.
+  struct Case {
+    std::string in;
+    std::string out;
+  };
+  const Case cases[] = {
+      {"\"", "\\\""},
+      {"\\", "\\\\"},
+      {"\n", "\\n"},
+      {"\r", "\\r"},
+      {"\t", "\\t"},
+      {std::string(1, '\x01'), "\\u0001"},
+      {std::string(1, '\x1f'), "\\u001f"},
+      {std::string(1, '\x7f'), std::string(1, '\x7f')},
+      {"caf\xc3\xa9 \xe2\x88\x80x \xf0\x9f\x98\x80",
+       "caf\xc3\xa9 \xe2\x88\x80x \xf0\x9f\x98\x80"},
+      {"a\"b\\c\nd", "a\\\"b\\\\c\\nd"},
+  };
+  for (const Case& c : cases) {
+    std::string out = "<";
+    obs::append_json_escaped(out, c.in);
+    EXPECT_EQ(out, "<" + c.out) << "input bytes: " << c.in.size();
+    // What the escaper writes, the serve parser reads back unchanged.
+    EXPECT_EQ(serve::parse_json("\"" + c.out + "\"").as_string(), c.in);
+  }
+}
+
 TEST(ObsManifest, JsonIsWellFormedAndCarriesProvenance) {
   const std::string json = obs::manifest_json(4);
   EXPECT_TRUE(json_well_formed(json)) << json;
@@ -477,10 +506,13 @@ TEST(ObsDeterminism, IsoFreeEnumerationWorkInvariantAcrossThreadCounts) {
   EnumerateOptions opts;
   expect_thread_invariant([&](ThreadPool& pool) {
     std::size_t reps = 0;
-    enumerate_graphs_modulo_iso_parallel(5, opts, pool, [&](const Graph&) {
-      ++reps;
-      return true;
-    });
+    enumerate_graphs_modulo_iso(
+        5, opts,
+        [&](const Graph&) {
+          ++reps;
+          return true;
+        },
+        &pool);
     EXPECT_GT(reps, 0u);
   });
 }

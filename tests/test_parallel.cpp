@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
 
-#include "graph/enumerate.hpp"
 #include "graph/generators.hpp"
 #include "port/port_numbering.hpp"
 #include "runtime/engine.hpp"
@@ -26,23 +24,6 @@ TEST(ThreadPool, ParallelForCoversRangeOnce) {
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
-}
-
-TEST(ThreadPool, ReduceIsDeterministicAndOrdered) {
-  // Non-commutative combine (string concatenation): the chunk-ordered
-  // reduction must give the sequential answer at any thread count.
-  auto run = [](int threads) {
-    ThreadPool pool(threads);
-    return pool.parallel_reduce<std::string>(
-        0, 40, "",
-        [](std::uint64_t i) { return std::string(1, static_cast<char>('a' + i % 26)); },
-        [](std::string a, std::string b) { return a + b; },
-        /*chunk=*/3);
-  };
-  const std::string expected = run(1);
-  EXPECT_EQ(expected.size(), 40u);
-  EXPECT_EQ(run(2), expected);
-  EXPECT_EQ(run(8), expected);
 }
 
 TEST(ThreadPool, FindFirstReturnsLowestWitnessAtAnyThreadCount) {
@@ -129,60 +110,6 @@ TEST(ThreadPool, SubmittedTasksRunEventually) {
     }
   }  // destructor drains
   EXPECT_EQ(ran.load(), 20);
-}
-
-// --- Parallel enumeration -------------------------------------------------
-
-std::vector<std::vector<Edge>> sequential_edge_sets(int n,
-                                                    const EnumerateOptions& o) {
-  std::vector<std::vector<Edge>> sets;
-  enumerate_graphs(n, o, [&](const Graph& g) {
-    sets.push_back(g.edges());
-    return true;
-  });
-  std::sort(sets.begin(), sets.end());
-  return sets;
-}
-
-TEST(EnumerateParallel, VisitsIdenticalSignatureMultiset) {
-  // The labelled edge set identifies each visited graph exactly, so equal
-  // multisets mean the parallel scan visits every graph exactly once.
-  EnumerateOptions opts;  // connected only
-  const auto expected = sequential_edge_sets(5, opts);
-  ASSERT_EQ(expected.size(), 728u);  // labelled connected graphs on 5 nodes
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    std::vector<std::vector<std::vector<Edge>>> per_worker(
-        static_cast<std::size_t>(pool.num_threads()));
-    const std::size_t visited = enumerate_graphs_parallel(
-        5, opts, pool, [&](const Graph& g, int worker) {
-          per_worker[static_cast<std::size_t>(worker)].push_back(g.edges());
-          return true;
-        });
-    EXPECT_EQ(visited, expected.size());
-    std::vector<std::vector<Edge>> sets;
-    for (auto& w : per_worker) {
-      for (auto& s : w) sets.push_back(std::move(s));
-    }
-    EXPECT_EQ(sets.size(), visited);
-    std::sort(sets.begin(), sets.end());
-    EXPECT_EQ(sets, expected) << "threads=" << threads;
-  }
-}
-
-TEST(EnumerateParallel, EarlyStopStillCountsStreamedGraphs) {
-  EnumerateOptions opts;
-  opts.connected_only = false;
-  ThreadPool pool(4);
-  std::atomic<int> seen{0};
-  const std::size_t visited = enumerate_graphs_parallel(
-      4, opts, pool, [&](const Graph&, int) {
-        return seen.fetch_add(1, std::memory_order_relaxed) + 1 < 5;
-      });
-  // Cooperative cancellation: at least the 5 sequentially-required graphs
-  // were streamed, and the return value counts exactly the streamed ones.
-  EXPECT_GE(visited, 5u);
-  EXPECT_EQ(visited, static_cast<std::size_t>(seen.load()));
 }
 
 // --- Re-entrancy of the execution engine ----------------------------------

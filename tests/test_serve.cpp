@@ -14,6 +14,7 @@
 //     per-node data if the labelling algebra were wrong.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -299,6 +300,25 @@ TEST(ServeErrors, DeadlineAlreadyExpired) {
   if (!j.find("ok")->as_bool()) {
     EXPECT_EQ(j.find("error")->find("code")->as_string(), "deadline");
   }
+}
+
+TEST(ServeErrors, DeadlineInterruptsCanonicalisation) {
+  // modelcheck canonicalises its model for the cache key before any
+  // other work. The edgeless 512-state model is highly symmetric, and
+  // canonicalising it takes seconds, so the search itself must poll the
+  // request deadline.
+  Service service;
+  const auto start = std::chrono::steady_clock::now();
+  const std::string reply = service.handle_line(
+      R"({"op": "modelcheck", "formula": "T", "timeout_ms": 100, )"
+      R"("model": {"states": 512, "props": 0}})");
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  const Json j = parse_json(reply);
+  ASSERT_FALSE(j.find("ok")->as_bool()) << reply;
+  EXPECT_EQ(j.find("error")->find("code")->as_string(), "deadline");
+  EXPECT_LT(ms, 500.0);
 }
 
 TEST(ServeLimits, SymmetricGraphAtTheNodeCapCanonicalises) {

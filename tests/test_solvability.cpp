@@ -34,6 +34,28 @@ TEST(Solvability, InstanceForComputesUniqueSolution) {
                std::invalid_argument);
 }
 
+TEST(Solvability, DegenerateRoundBounds) {
+  // Caps of 0 and 1 leave the fixpoint scan an empty or one-element
+  // range, so the fixpoint comes from the uncapped refinement instead;
+  // the report must equal the uncapped one, since odd-odd on P3 is
+  // solvable in 0 rounds in VV.
+  const ScopedInstance inst =
+      instance_for(*odd_odd_problem(), PortNumbering::identity(path_graph(3)));
+  const SolvabilityReport full =
+      analyse_solvability({inst}, ProblemClass::VV, 2);
+  ASSERT_EQ(full.min_rounds, std::optional<int>(0));
+  EXPECT_EQ(full.fixpoint_rounds, 1);
+  EXPECT_EQ(full.blocks, 3);
+  for (const int max_rounds : {0, 1}) {
+    const SolvabilityReport r =
+        analyse_solvability({inst}, ProblemClass::VV, 2, max_rounds);
+    EXPECT_EQ(r.min_rounds, full.min_rounds) << "max_rounds=" << max_rounds;
+    EXPECT_EQ(r.fixpoint_rounds, full.fixpoint_rounds)
+        << "max_rounds=" << max_rounds;
+    EXPECT_EQ(r.blocks, full.blocks) << "max_rounds=" << max_rounds;
+  }
+}
+
 TEST(Solvability, DegreeParityIsZeroRoundsEverywhere) {
   const auto scope = scope_of_small_graphs(*degree_parity_problem(), 4, 3);
   for (const ProblemClass c : all_problem_classes()) {

@@ -7,12 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -401,48 +402,45 @@ TEST_F(StoreTest, CensusResumeRejectsChangedParameters) {
 }
 
 TEST_F(StoreTest, StreamEnumerationMatchesClassic) {
-  // The streaming generator with a set-backed sink must visit exactly
-  // the representatives enumerate_graphs_modulo_iso visits, in order —
-  // at any batch size and thread count.
+  // The batched census over graph_census_space must store exactly the
+  // representatives enumerate_graphs_modulo_iso visits — the same
+  // certificates under the same lowest edge masks — at any batch size.
   EnumerateOptions opts;
   opts.connected_only = false;
-  std::vector<std::string> classic;
+  const CensusSpace space = graph_census_space(5, opts);
+  // The classic scan's (mask, certificate) pairs, in mask order. Mask
+  // bit i is the i-th pair u < v in lexicographic order.
+  std::vector<std::pair<std::uint64_t, std::string>> classic;
   enumerate_graphs_modulo_iso(5, opts, [&](const Graph& g) {
-    classic.push_back(g.to_string());
+    std::uint64_t mask = 0;
+    for (const Edge& e : g.edges()) {
+      mask |= 1ULL << (e.u * 5 - e.u * (e.u + 1) / 2 + e.v - e.u - 1);
+    }
+    classic.emplace_back(mask, *space.classify(mask));
     return true;
   });
   ASSERT_EQ(classic.size(), 34u);  // A000088(5)
 
   ThreadPool pool(4);
-  for (const std::uint64_t batch : {64u, 1024u, 0u}) {
-    std::set<std::string> seen;
-    std::vector<std::string> streamed;
-    const std::size_t n = enumerate_graphs_modulo_iso_stream(
-        5, opts, &pool, batch,
-        [&](const std::string& cert, std::uint64_t) {
-          return seen.insert(cert).second;
-        },
-        [&](const Graph& g) {
-          streamed.push_back(g.to_string());
-          return true;
-        });
-    EXPECT_EQ(n, classic.size()) << "batch=" << batch;
-    EXPECT_EQ(streamed, classic) << "batch=" << batch;
+  for (const std::uint64_t batch : {64u, 100u, 1024u}) {
+    CensusOptions copts;
+    copts.batch = batch;
+    copts.checkpoint_path = path("cp" + std::to_string(batch));
+    const std::string dir = path("s" + std::to_string(batch));
+    const CensusResult r = run_census(space, dir, &pool, copts);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.classes, classic.size()) << "batch=" << batch;
+    std::vector<std::pair<std::uint64_t, std::string>> stored;
+    const CertStore store = CertStore::open(dir, space.kind);
+    for (const SegmentRef& ref : store.segment_refs()) {
+      Segment::open((fs::path(dir) / ref.file).string(), space.kind)
+          .for_each([&](std::string_view key, std::uint64_t rep) {
+            stored.emplace_back(rep, std::string(key));
+          });
+    }
+    std::sort(stored.begin(), stored.end());
+    EXPECT_EQ(stored, classic) << "batch=" << batch;
   }
-}
-
-TEST_F(StoreTest, StreamEnumerationEarlyStop) {
-  EnumerateOptions opts;
-  opts.connected_only = false;
-  std::set<std::string> seen;
-  std::size_t visited = 0;
-  enumerate_graphs_modulo_iso_stream(
-      5, opts, nullptr, 128,
-      [&](const std::string& cert, std::uint64_t) {
-        return seen.insert(cert).second;
-      },
-      [&](const Graph&) { return ++visited < 5; });
-  EXPECT_EQ(visited, 5u);
 }
 
 }  // namespace

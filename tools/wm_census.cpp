@@ -54,6 +54,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --kind graph|graph-conn|port|kripke --n N\n"
+      "          (N <= 11 for graph kinds, 2..6 for port, <= 7 for kripke)\n"
       "          --store DIR --checkpoint FILE [--resume]\n"
       "          [--threads N] [--batch B] [--checkpoint-every K]\n"
       "          [--budget-secs S] [--spill-threshold T]\n"
@@ -206,20 +207,20 @@ int main(int argc, char** argv) {
   }
   opts.checkpoint_path = checkpoint_path;
 
+  // Each space's candidate count must fit in 64 bits: 2^C(n,2) edge
+  // masks up to n = 11, ((n-1)!)^n numberings up to n = 6, 2^(n^2+n)
+  // models up to n = 7. n is bounded before any of that arithmetic.
   CensusSpace space;
-  wm::EnumerateOptions eopts;
-  if (kind_name == "graph") {
-    eopts.connected_only = false;
-    space = wm::graph_census_space(n, eopts);
-  } else if (kind_name == "graph-conn") {
-    eopts.connected_only = true;
-    eopts.min_degree = 0;
+  if (kind_name == "graph" || kind_name == "graph-conn") {
+    if (n > 11) return usage(argv[0]);
+    wm::EnumerateOptions eopts;
+    eopts.connected_only = kind_name == "graph-conn";
     space = wm::graph_census_space(n, eopts);
   } else if (kind_name == "port") {
-    if (n < 2) return usage(argv[0]);
+    if (n < 2 || n > 6) return usage(argv[0]);
     space = port_census_space(n);
   } else if (kind_name == "kripke") {
-    if (n * n + n > 62) return usage(argv[0]);
+    if (n > 7) return usage(argv[0]);
     space = kripke_census_space(n);
   } else {
     std::fprintf(stderr, "unknown kind: %s\n", kind_name.c_str());
