@@ -1,22 +1,25 @@
-// Dedup-table contention microbench: the lock-free LockfreeMinMap
-// (util/lockfree_set.hpp, the engine under every ParallelVisitor
-// dedup_stream) under insert-heavy (mostly fresh keys) and hit-heavy (few
-// keys, endless re-encounters) mixes at 1/4/8/16 threads.
+// Dedup contention microbench: ParallelVisitor::dedup_stream
+// (util/visitor.hpp, the scan behind every iso-free search) under
+// insert-heavy (mostly fresh keys) and hit-heavy (few keys, endless
+// re-encounters) mixes at 1/4/8/16 executors. Each executor fills its
+// own map, lock-free because nothing is shared until the merge after
+// the join; a run's time covers the scan, that merge and the sorted
+// replay.
 //
 // Determinism: the thread sweep is FIXED (1/4/8/16) regardless of
 // --threads, so the work done — and therefore stdout and every work
 // counter — is byte-identical at any --threads setting; the CI smoke
-// loop diffs exactly that. --threads only sizes the pool used... for
-// nothing here: each sweep step builds its own pool. Distinct-key counts
-// and min-checksums go to stdout; insert rates go to stderr and
+// loop diffs exactly that. --threads is parsed only to arm the obs env
+// hooks: each sweep step builds its own pool. Distinct-key counts and
+// min-checksums go to stdout; insert rates go to stderr and
 // BENCH_dedup.json.
 #include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "util/hash_mix.hpp"
-#include "util/lockfree_set.hpp"
 #include "util/parallel.hpp"
+#include "util/visitor.hpp"
 
 namespace {
 
@@ -46,20 +49,19 @@ struct RunResult {
   double ms = 0;
 };
 
-RunResult run_lockfree(const Mix& mix, int threads) {
-  LockfreeMinMap<std::uint64_t, std::uint64_t> table(
-      static_cast<std::size_t>(mix.keyspace));
+RunResult run_dedup(const Mix& mix, int threads) {
   ThreadPool pool(threads);
-  const benchutil::Timer timer;
-  pool.parallel_for(0, kInserts, [&](std::uint64_t i) {
-    table.insert_min(key_at(i, mix.keyspace), i);
-  });
   RunResult r;
+  const benchutil::Timer timer;
+  ParallelVisitor(&pool).dedup_stream<std::uint64_t>(
+      0, kInserts,
+      [&](std::uint64_t i, auto&& emit) { emit(key_at(i, mix.keyspace)); },
+      [&](std::uint64_t, std::uint64_t rep) {
+        ++r.distinct;
+        r.checksum ^= hash_mix(rep);
+        return true;
+      });
   r.ms = timer.ms();
-  for (const std::uint64_t v : table.values()) {
-    ++r.distinct;
-    r.checksum ^= hash_mix(v);
-  }
   return r;
 }
 
@@ -78,7 +80,7 @@ int main(int argc, char** argv) {
   for (const Mix& mix : kMixes) {
     RunResult printed{};
     for (const int threads : {1, 4, 8, 16}) {
-      const RunResult r = run_lockfree(mix, threads);
+      const RunResult r = run_dedup(mix, threads);
       // Content is a pure function of the insert multiset, so every
       // thread count must agree: print it once per mix.
       if (threads == 1) {

@@ -6,8 +6,8 @@
 // Ported to the task-parallel substrate: the per-graph rows minimise in
 // parallel into order-preserving slots, and the distinct-quotient search
 // (the Lemma 14/15 question "how many genuinely different minimal views
-// does a family of numberings admit?") runs on the lock-free
-// visitor-core dedup scan of search_distinct_quotients. stdout is
+// does a family of numberings admit?") runs on the visitor-core dedup
+// scan of search_distinct_quotients. stdout is
 // byte-identical at any --threads setting; perf goes to stderr and
 // BENCH_quotient.json.
 #include <cstdio>

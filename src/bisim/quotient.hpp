@@ -73,8 +73,9 @@ struct QuotientSearchResult {
 /// family of port numberings admit?".
 ///
 /// With a pool, discovery (minimise + canonicalise per candidate) runs
-/// in parallel into a lock-free fingerprint -> minimum-index table (same
-/// pattern as the parallel graph enumeration); the per-key minimum is
+/// in parallel through ParallelVisitor::dedup_stream, keeping the
+/// minimum index per fingerprint (same scan as the iso-free graph
+/// enumeration); the per-key minimum is
 /// timing-independent, so representatives — and the replayed models —
 /// are byte-identical at any thread count. Counts are additionally
 /// invariant under relabelling the input models (the key is canonical).

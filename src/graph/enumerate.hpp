@@ -42,11 +42,11 @@ std::size_t enumerate_graphs(int n, const EnumerateOptions& opts,
 /// exact, so the counts match OEIS A000088 / A001349: the executable
 /// form of the paper's "all graphs in F(Delta)" quantification.
 ///
-/// With a pool, canonicalisation runs on it into a lock-free
-/// certificate -> minimum-edge-mask table, then the representatives
-/// replay to `fn` sequentially in increasing mask order, so `fn` sees the
-/// same graphs in the same order at any thread count; an early stop then
-/// halts the replay only. For a bounded-memory, resumable scan of the
+/// With a pool, canonicalisation runs on it (ParallelVisitor::
+/// dedup_stream keeps the minimum edge mask per certificate), then the
+/// representatives replay to `fn` sequentially in increasing mask order,
+/// so `fn` sees the same graphs in the same order at any thread count;
+/// an early stop then halts the replay only. For a bounded-memory, resumable scan of the
 /// same space use graph_census_space with store::run_census.
 std::size_t enumerate_graphs_modulo_iso(
     int n, const EnumerateOptions& opts,

@@ -3,13 +3,11 @@
 // Maps request cache keys (canonical certificates plus endpoint
 // parameters — see serve/protocol.cpp for how keys are built so that
 // sharing results across clients is sound) to serialised result blobs.
-// Layout follows util/lockfree_set.hpp's open-addressing style —
-// power-of-two slot arrays, avalanche-mixed triangular probing — but
-// the value type is a variable-length blob and entries are evicted, so
-// slots live under a per-shard mutex instead of CAS claims: eviction
-// and single-flight waiting need states a lock-free slot cannot
-// round-trip cheaply, and the blobs make copies under contention more
-// expensive than the lock.
+// Layout: open addressing — power-of-two slot arrays, avalanche-mixed
+// (util/hash_mix.hpp) triangular probing — with slots under a
+// per-shard mutex: eviction and single-flight waiting need states a
+// lock-free slot cannot round-trip cheaply, and the variable-length
+// blobs make copies under contention more expensive than the lock.
 //
 // Semantics:
 //

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -376,13 +377,61 @@ std::string load_crc_file(const std::string& path, const char* what) {
   return body;
 }
 
+FieldReader::FieldReader(const std::string& path, const char* what)
+    : path_(path), in_(load_crc_file(path, what)) {}
+
+std::optional<std::string> FieldReader::next() {
+  std::string token;
+  if (!(in_ >> token)) return std::nullopt;
+  return token;
+}
+
+std::string FieldReader::word(const char* field) {
+  std::optional<std::string> token = next();
+  if (!token) {
+    fail(StoreErrorCode::kBadManifest,
+         path_ + ": missing " + field + " value");
+  }
+  return std::move(*token);
+}
+
+std::uint64_t FieldReader::number(const char* field) {
+  const std::string token = word(field);
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || stop != end) {
+    fail(StoreErrorCode::kBadManifest,
+         path_ + ": bad " + field + " '" + token + "'");
+  }
+  return value;
+}
+
+SegmentRef FieldReader::segment() {
+  SegmentRef ref{};
+  ref.file = word("segment file");
+  ref.count = number("segment count");
+  const std::string crc = word("segment crc");
+  const char* end = crc.data() + crc.size();
+  const auto [stop, ec] = std::from_chars(crc.data(), end, ref.crc, 16);
+  if (crc.size() != 8 || ec != std::errc() || stop != end) {
+    fail(StoreErrorCode::kBadManifest,
+         path_ + ": bad segment crc '" + crc + "'");
+  }
+  return ref;
+}
+
+std::string FieldReader::rest_of_line() {
+  std::string line;
+  std::getline(in_, line);
+  if (!line.empty() && line.front() == ' ') line.erase(0, 1);
+  return line;
+}
+
 // --- CertStore --------------------------------------------------------------
 
 CertStore::CertStore(std::string dir, std::string kind, StoreOptions options)
-    : dir_(std::move(dir)),
-      kind_(std::move(kind)),
-      options_(options),
-      front_(std::make_unique<LockfreeMinMap<std::string, std::uint64_t>>()) {}
+    : dir_(std::move(dir)), kind_(std::move(kind)), options_(options) {}
 
 CertStore CertStore::open(const std::string& dir, const std::string& kind,
                           const StoreOptions& options) {
@@ -458,39 +507,30 @@ std::string CertStore::next_segment_name() {
 
 void CertStore::load_manifest() {
   const std::string path = segment_path(kManifestName);
-  const std::string body = load_crc_file(path, "store manifest");
-  std::istringstream in(body);
-  std::string magic;
-  std::uint32_t version = 0;
-  if (!(in >> magic >> version) || magic != kManifestMagic) {
+  FieldReader in(path, "store manifest");
+  if (in.next() != kManifestMagic) {
     fail(StoreErrorCode::kBadMagic, path + ": not a store manifest");
   }
+  const std::uint64_t version = in.number("version");
   if (version != kManifestVersion) {
     fail(StoreErrorCode::kVersionSkew,
          path + ": manifest version " + std::to_string(version));
   }
   refs_.clear();
-  std::string word;
   std::string kind;
-  while (in >> word) {
+  while (const std::optional<std::string> word = in.next()) {
     if (word == "kind") {
-      in >> kind;
+      kind = in.word("kind");
     } else if (word == "generation") {
-      in >> generation_;
+      generation_ = in.number("generation");
     } else if (word == "next_segment") {
-      in >> next_segment_id_;
+      next_segment_id_ = in.number("next_segment");
     } else if (word == "segment") {
-      SegmentRef ref;
-      std::string crc_hex;
-      if (!(in >> ref.file >> ref.count >> crc_hex)) {
-        fail(StoreErrorCode::kBadManifest, path + ": bad segment line");
-      }
-      ref.crc = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
-      refs_.push_back(std::move(ref));
+      refs_.push_back(in.segment());
     } else if (word == "git") {
-      in >> word;  // provenance only
+      in.word("git");  // provenance only
     } else {
-      fail(StoreErrorCode::kBadManifest, path + ": unknown field " + word);
+      fail(StoreErrorCode::kBadManifest, path + ": unknown field " + *word);
     }
   }
   if (kind != kind_) {
@@ -539,7 +579,7 @@ void CertStore::open_segments() {
 }
 
 bool CertStore::contains(const std::string& key) const {
-  if (front_->find(key).has_value()) return true;
+  if (front_.contains(key)) return true;
   // Newest segment first: recently sealed keys are the likeliest repeats.
   for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
     WM_COUNT_INFO(store.segment_probes);
@@ -549,7 +589,7 @@ bool CertStore::contains(const std::string& key) const {
 }
 
 bool CertStore::insert_fresh(const std::string& key, std::uint64_t value) {
-  bool fresh = !front_->find(key).has_value();
+  bool fresh = !front_.contains(key);
   if (fresh) {
     for (auto it = segments_.rbegin(); fresh && it != segments_.rend(); ++it) {
       WM_COUNT_INFO(store.segment_probes);
@@ -561,32 +601,29 @@ bool CertStore::insert_fresh(const std::string& key, std::uint64_t value) {
     return false;
   }
   WM_COUNT(store.fresh_keys);
-  front_->insert_min(key, value);
-  ++front_count_;
-  WM_COUNT_MAX(store.front_peak_keys, front_count_);
-  if (front_count_ >= options_.spill_threshold) seal();
+  front_.emplace(key, value);
+  WM_COUNT_MAX(store.front_peak_keys, front_.size());
+  if (front_.size() >= options_.spill_threshold) seal();
   return true;
 }
 
 std::uint64_t CertStore::distinct_keys() const {
   std::uint64_t sealed = 0;
   for (const SegmentRef& ref : refs_) sealed += ref.count;
-  return sealed + front_count_;
+  return sealed + front_.size();
 }
 
 void CertStore::seal() {
-  if (front_count_ == 0) return;
-  auto records = front_->harvest(/*emit_counters=*/false);
+  if (front_.empty()) return;
   const std::string file = next_segment_name();
-  const std::uint32_t crc = Segment::write(segment_path(file), kind_,
-                                           std::move(records));
-  SegmentRef ref{file, front_count_, crc};
+  const std::uint32_t crc = Segment::write(
+      segment_path(file), kind_, {front_.begin(), front_.end()});
+  SegmentRef ref{file, front_.size(), crc};
   generation_ += 1;
   refs_.push_back(ref);
   commit_manifest();
   segments_.push_back(Segment::open(segment_path(file), kind_));
-  front_ = std::make_unique<LockfreeMinMap<std::string, std::uint64_t>>();
-  front_count_ = 0;
+  front_.clear();
   ++spills_;
   WM_COUNT_INFO(store.spills);
 }
@@ -596,7 +633,7 @@ bool CertStore::compact_if_needed() {
     return false;
   }
   std::vector<std::pair<std::string, std::uint64_t>> merged;
-  merged.reserve(static_cast<std::size_t>(distinct_keys() - front_count_));
+  merged.reserve(static_cast<std::size_t>(distinct_keys() - front_.size()));
   for (const Segment& seg : segments_) {
     seg.for_each([&](std::string_view key, std::uint64_t value) {
       merged.emplace_back(std::string(key), value);
@@ -652,7 +689,7 @@ void CertStore::purge_unreferenced() {
 
 StoreStats CertStore::stats() const {
   StoreStats s;
-  s.front_keys = front_count_;
+  s.front_keys = front_.size();
   s.segments = refs_.size();
   s.generation = generation_;
   s.spills = spills_;

@@ -9,9 +9,10 @@
 // census's key set on disk so memory stays flat and a killed run can
 // resume:
 //
-//  - An in-memory *front* (util/lockfree_set.hpp LockfreeMinMap) absorbs
-//    fresh keys. When it passes `spill_threshold` keys it is sealed:
-//    drained, sorted, and written as an immutable on-disk *segment*.
+//  - An in-memory *front* (a plain hash map: the store is
+//    sequential-only) absorbs fresh keys. When it passes
+//    `spill_threshold` keys it is sealed: drained, sorted, and written
+//    as an immutable on-disk *segment*.
 //  - A segment file is a fixed header (magic, version, kind tag, element
 //    count, the configure-time `git describe` from the obs manifest),
 //    a sorted offset table + records payload, and a trailing CRC-32.
@@ -42,20 +43,19 @@
 //
 // Concurrency: insert_fresh/contains/seal/compact are sequential-only —
 // the census driver calls them from its ordered merge step; the
-// parallelism lives a layer up, in the per-batch dedup tables
+// parallelism lives a layer up, in the per-batch dedup scan
 // (ParallelVisitor::dedup_stream).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
-
-#include "util/lockfree_set.hpp"
 
 namespace wm::store {
 
@@ -234,8 +234,7 @@ class CertStore {
   std::uint64_t next_segment_id_ = 1;
   std::vector<SegmentRef> refs_;
   std::vector<Segment> segments_;  // parallel to refs_
-  std::unique_ptr<LockfreeMinMap<std::string, std::uint64_t>> front_;
-  std::size_t front_count_ = 0;
+  std::unordered_map<std::string, std::uint64_t> front_;
   std::uint64_t spills_ = 0;
   std::uint64_t compactions_ = 0;
 };
@@ -246,5 +245,28 @@ class CertStore {
 /// verifies it and returns the preceding lines.
 void write_crc_file(const std::string& path, const std::string& body);
 std::string load_crc_file(const std::string& path, const char* what);
+
+/// Checked reader over a load_crc_file body, one whitespace-separated
+/// token at a time. A CRC proves only that the bytes are the ones
+/// written, so every value accessor parses its whole token and throws
+/// StoreError(kBadManifest) when it is missing or malformed.
+class FieldReader {
+ public:
+  /// Loads `path` via load_crc_file (its trailer errors propagate).
+  FieldReader(const std::string& path, const char* what);
+  /// The next token (a field name), or nullopt at the end of the body.
+  std::optional<std::string> next();
+  std::string word(const char* field);
+  /// A decimal unsigned integer.
+  std::uint64_t number(const char* field);
+  /// A segment line's `file count crc`, the CRC exactly 8 hex digits.
+  SegmentRef segment();
+  /// The rest of the current line, without its leading blank.
+  std::string rest_of_line();
+
+ private:
+  std::string path_;
+  std::istringstream in_;
+};
 
 }  // namespace wm::store

@@ -1,7 +1,7 @@
 #include "store/checkpoint.hpp"
 
 #include <cstdio>
-#include <sstream>
+#include <optional>
 
 namespace wm::store {
 
@@ -54,61 +54,48 @@ void write_checkpoint(const std::string& path, const Checkpoint& cp) {
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  const std::string body = load_crc_file(path, "census checkpoint");
-  std::istringstream in(body);
-  std::string magic;
-  std::uint32_t version = 0;
-  if (!(in >> magic) || magic != kMagic) {
+  FieldReader in(path, "census checkpoint");
+  if (in.next() != kMagic) {
     throw StoreError(StoreErrorCode::kBadMagic,
                      path + ": not a census checkpoint");
   }
-  if (!(in >> version) || version != Checkpoint::kVersion) {
+  const std::uint64_t version = in.number("version");
+  if (version != Checkpoint::kVersion) {
     throw StoreError(StoreErrorCode::kVersionSkew,
                      path + ": checkpoint version " + std::to_string(version) +
                          ", this build reads " +
                          std::to_string(Checkpoint::kVersion));
   }
   Checkpoint cp;
-  std::string word;
   bool saw_kind = false, saw_next = false;
-  while (in >> word) {
+  while (const std::optional<std::string> word = in.next()) {
     if (word == "kind") {
-      in >> cp.kind;
+      cp.kind = in.word("kind");
       saw_kind = true;
     } else if (word == "space") {
-      in >> cp.space;
+      cp.space = in.number("space");
     } else if (word == "batch") {
-      in >> cp.batch;
+      cp.batch = in.number("batch");
     } else if (word == "next") {
-      in >> cp.next;
+      cp.next = in.number("next");
       saw_next = true;
     } else if (word == "classes") {
-      in >> cp.classes;
+      cp.classes = in.number("classes");
     } else if (word == "admissible") {
-      in >> cp.admissible;
+      cp.admissible = in.number("admissible");
     } else if (word == "scanned") {
-      in >> cp.scanned;
+      cp.scanned = in.number("scanned");
     } else if (word == "batches") {
-      in >> cp.batches;
+      cp.batches = in.number("batches");
     } else if (word == "checkpoints") {
-      in >> cp.checkpoints;
+      cp.checkpoints = in.number("checkpoints");
     } else if (word == "segment") {
-      SegmentRef ref;
-      std::string crc_hex;
-      if (!(in >> ref.file >> ref.count >> crc_hex)) {
-        throw StoreError(StoreErrorCode::kBadManifest,
-                         path + ": bad segment line");
-      }
-      ref.crc = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
-      cp.store_segments.push_back(std::move(ref));
+      cp.store_segments.push_back(in.segment());
     } else if (word == "manifest") {
-      std::getline(in, cp.manifest_json);
-      if (!cp.manifest_json.empty() && cp.manifest_json.front() == ' ') {
-        cp.manifest_json.erase(0, 1);
-      }
+      cp.manifest_json = in.rest_of_line();
     } else {
       throw StoreError(StoreErrorCode::kBadManifest,
-                       path + ": unknown field " + word);
+                       path + ": unknown field " + *word);
     }
   }
   if (!saw_kind || !saw_next) {

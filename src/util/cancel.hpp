@@ -10,14 +10,12 @@
 // draining workers) and is mapped to a structured "deadline" error
 // reply by the protocol layer.
 //
-// A token is armed either by an explicit `request_cancel()` (shutdown
-// paths) or by an absolute steady-clock deadline (per-request budgets).
-// `cancelled()` is safe from any thread; the deadline comparison is a
-// clock read, so polling belongs at round granularity, not inside
-// per-node inner loops.
+// A token carries one absolute steady-clock deadline (the request's
+// budget). `cancelled()` is safe from any thread; it is a clock read, so
+// polling belongs at round or search-node granularity, not inside
+// per-element inner loops.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
@@ -33,29 +31,15 @@ class CancelledError : public std::runtime_error {
 
 class CancelToken {
  public:
-  /// Never cancels on its own; request_cancel() arms it.
-  CancelToken() = default;
-
-  /// Cancels automatically once `deadline` passes.
+  /// Cancels once `deadline` passes.
   explicit CancelToken(std::chrono::steady_clock::time_point deadline)
-      : has_deadline_(true), deadline_(deadline) {}
-
-  /// Convenience: a token expiring `ms` milliseconds from now.
-  static CancelToken after_ms(long long ms) {
-    return CancelToken(std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(ms));
-  }
+      : deadline_(deadline) {}
 
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 
-  void request_cancel() noexcept {
-    flag_.store(true, std::memory_order_relaxed);
-  }
-
   bool cancelled() const noexcept {
-    if (flag_.load(std::memory_order_relaxed)) return true;
-    return has_deadline_ && std::chrono::steady_clock::now() >= deadline_;
+    return std::chrono::steady_clock::now() >= deadline_;
   }
 
   /// Throws CancelledError if cancelled; the drivers' polling point.
@@ -64,9 +48,7 @@ class CancelToken {
   }
 
  private:
-  std::atomic<bool> flag_{false};
-  const bool has_deadline_ = false;
-  const std::chrono::steady_clock::time_point deadline_{};
+  const std::chrono::steady_clock::time_point deadline_;
 };
 
 /// Null-safe polling helper for drivers taking `const CancelToken*`.

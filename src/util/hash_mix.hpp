@@ -1,10 +1,11 @@
-// Hash finalisation for the concurrent dedup tables.
+// Hash finalisation for hand-rolled hash tables.
 //
 // std::hash on integer keys is the identity on every mainstream standard
 // library, so any table that derives a slot index from the raw hash with
-// a modulo sees sequential keys hammer adjacent buckets. The concurrent
-// table (util/lockfree_set.hpp) therefore finalises the raw hash with an
-// avalanche mixer before using any of its bits for placement.
+// a modulo sees sequential keys hammer adjacent buckets. The serve memo
+// cache (serve/memo_cache.hpp) therefore finalises the raw hash with an
+// avalanche mixer before using any of its bits for shard or slot
+// placement; bisimulation signature hashing mixes with it too.
 #pragma once
 
 #include <cstdint>

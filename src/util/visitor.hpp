@@ -17,16 +17,16 @@
 // thread timing. Searches above this layer (graph/enumerate,
 // bisim/quotient, store/census, cover/covering, core/decision,
 // core/solvability, core/synthesis, problems/catalogue) declare *what* to
-// scan; this file is the only place that knows *how* — DiVinE's shape:
-// one generic visitor driving all algorithms over one concurrent dedup
-// table (util/lockfree_set.hpp).
+// scan; this file is the only place that knows *how*.
 //
 // Determinism contracts (see DESIGN.md "Parallel visitor core"):
-//  - dedup_stream keeps the *lowest* index per key (LockfreeMinMap's
-//    min-merge) and replays pairs sorted, so the streamed sequence is
-//    identical at any worker count — and identical to the sequential
-//    first-seen order, because an in-order scan's first occurrence IS
-//    the lowest index.
+//  - dedup_stream keeps the *lowest* index per key and replays pairs
+//    sorted, so the streamed sequence is identical at any executor count
+//    — and identical to the sequential first-seen order, because an
+//    in-order scan's first occurrence IS the lowest index. Pooled, each
+//    executor fills a private map (its chunks arrive in increasing
+//    order, so its first entry per key is its minimum) and the maps are
+//    merged once after the join, min of mins.
 //  - find_first delegates to ThreadPool::parallel_find_first
 //    (lowest-witness contract); the inline path scans in order. Both run
 //    the predicate inside obs::SpeculativeScope, so work counters hit
@@ -35,15 +35,16 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "obs/counters.hpp"
-#include "util/lockfree_set.hpp"
 #include "util/parallel.hpp"
 
 namespace wm {
@@ -55,17 +56,20 @@ class ParallelVisitor {
   explicit ParallelVisitor(ThreadPool* pool) : pool_(pool) {}
 
   /// Deduplicated scan over [begin, end). For each index, visit(i, emit)
-  /// classifies the candidate: emit(key) files index i under `key` (zero
-  /// emits = candidate inadmissible). The lowest index of each key within
-  /// the range is its representative; (key, rep) pairs are streamed to
-  /// consume(key, rep) in increasing rep order until consume returns
-  /// false. Returns the number of pairs streamed.
+  /// classifies the candidate: emit(key) files index i under `key`, at
+  /// most once per index (zero emits = candidate inadmissible). The
+  /// lowest index of each key within the range is its representative;
+  /// (key, rep) pairs are streamed to consume(key, rep) in increasing rep
+  /// order until consume returns false. Returns the number of pairs
+  /// streamed.
   ///
-  /// Pooled: full scan in per-worker chunks into the lock-free min-map,
-  /// then sorted replay — consume's early stop ends the replay but cannot
-  /// cancel the (already complete) scan. Inline: first occurrences stream
-  /// immediately and a stop cancels the rest of the scan. Either way the
-  /// streamed prefix is the same sequence.
+  /// Pooled: full scan in per-executor chunks, each executor into its
+  /// own map, then one min-of-mins merge and a sorted replay — consume's
+  /// early stop ends the replay but cannot cancel the (already complete)
+  /// scan. Inline: first occurrences stream immediately and a stop
+  /// cancels the rest of the scan. Either way the streamed prefix is the
+  /// same sequence. Pooled memory is bounded by executors × distinct
+  /// keys in the range.
   ///
   /// Passing the key through lets a caller running consecutive batches
   /// dedup across them against longer-lived state (the disk-backed
@@ -84,26 +88,51 @@ class ParallelVisitor {
   std::size_t dedup_stream(std::uint64_t begin, std::uint64_t end,
                            Visit&& visit, Consume&& consume) const {
     if (pool_ != nullptr) {
-      LockfreeMinMap<Key, std::uint64_t> table;
+      using Map = std::unordered_map<Key, std::uint64_t>;
+      std::vector<Map> maps(static_cast<std::size_t>(pool_->num_threads()));
+      std::atomic<std::uint64_t> inserts{0};
       pool_->parallel_chunks(begin, end, [&](std::uint64_t lo,
-                                             std::uint64_t hi, int) {
+                                             std::uint64_t hi, int worker) {
+        Map& map = maps[static_cast<std::size_t>(worker)];
+        std::uint64_t emitted = 0;
         for (std::uint64_t i = lo; i < hi; ++i) {
-          visit(i, [&](Key key) { table.insert_min(std::move(key), i); });
+          // This executor's chunks arrive in increasing order, so its
+          // first index per key is its minimum.
+          visit(i, [&](Key key) {
+            ++emitted;
+            map.try_emplace(std::move(key), i);
+          });
         }
+        inserts.fetch_add(emitted, std::memory_order_relaxed);
       });
-      std::vector<std::pair<Key, std::uint64_t>> reps = table.harvest();
-      std::sort(reps.begin(), reps.end(),
-                [](const auto& a, const auto& b) { return a.second < b.second; });
+      // Min of mins: move over the keys `merged` lacks, then lower the
+      // ones both hold.
+      Map& merged = maps[0];
+      for (std::size_t w = 1; w < maps.size(); ++w) {
+        merged.merge(maps[w]);
+        for (const auto& [key, rep] : maps[w]) {
+          std::uint64_t& min = merged.find(key)->second;
+          min = std::min(min, rep);
+        }
+      }
+      WM_COUNT_ADD(dedup.fresh_keys, merged.size());
+      WM_COUNT_ADD(dedup.dedup_hits, inserts.load() - merged.size());
+      std::vector<const typename Map::value_type*> reps;
+      reps.reserve(merged.size());
+      for (const auto& entry : merged) reps.push_back(&entry);
+      std::sort(reps.begin(), reps.end(), [](const auto* a, const auto* b) {
+        return a->second < b->second;
+      });
       std::size_t streamed = 0;
-      for (const auto& [key, rep] : reps) {
+      for (const auto* entry : reps) {
         ++streamed;
-        if (!consume(key, rep)) break;
+        if (!consume(entry->first, entry->second)) break;
       }
       return streamed;
     }
     // Inline: in-order scan, first occurrence per key streamed on the
     // spot. Counter totals are emitted from the same two quantities the
-    // table harvest uses (inserts and distinct keys).
+    // pooled merge uses (inserts and distinct keys).
     std::unordered_set<Key> seen;
     std::uint64_t inserts = 0;
     std::size_t streamed = 0;

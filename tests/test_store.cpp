@@ -331,6 +331,60 @@ TEST_F(StoreTest, CheckpointCorruptionDetected) {
             StoreErrorCode::kBadManifest);
 }
 
+TEST_F(StoreTest, CheckpointMalformedFieldsRejected) {
+  // CRC-valid checkpoints whose fields do not parse. Each must be a
+  // structured kBadManifest: never a crash, never a load that silently
+  // stops at the bad field and drops the lines after it.
+  const std::string head =
+      "wm-census-checkpoint 1\nkind k\nspace 100\nbatch 10\nnext 10\n";
+  const std::string segment = "segment seg-000001.wmseg 3 ";
+  for (const std::string& tail :
+       {"classes x34\n" + segment + "0badcafe\n", std::string("classes 34x\n"),
+        std::string("scanned -5\n"),
+        std::string("batches 99999999999999999999999\n"),
+        std::string("checkpoints\n"), segment + "zzzzzzzz\n",
+        segment + "0badcaf\n", segment + "0badcafe0\n", segment + "0x0badca\n",
+        segment + "-badcafe\n", segment + "\n",
+        std::string("segment seg-000001.wmseg three 0badcafe\n")}) {
+    write_crc_file(path("cp"), head + tail);
+    EXPECT_EQ(code_of([&] { load_checkpoint(path("cp")); }),
+              StoreErrorCode::kBadManifest)
+        << tail;
+  }
+  write_crc_file(path("cp"), "wm-census-checkpoint v1\nkind k\nnext 0\n");
+  EXPECT_EQ(code_of([&] { load_checkpoint(path("cp")); }),
+            StoreErrorCode::kBadManifest);
+  // The well-formed twin loads, upper-case hex included.
+  write_crc_file(path("cp"), head + "classes 34\n" + segment + "0BADCAFE\n");
+  const Checkpoint cp = load_checkpoint(path("cp"));
+  EXPECT_EQ(cp.classes, 34u);
+  ASSERT_EQ(cp.store_segments.size(), 1u);
+  EXPECT_EQ(cp.store_segments[0].crc, 0x0badcafeu);
+}
+
+TEST_F(StoreTest, ManifestMalformedFieldsRejected) {
+  // The store manifest goes through the same checked reader.
+  const std::string manifest = path("s") + "/store.manifest";
+  const std::string head = "wm-cert-store 1\nkind k\ngit test\n";
+  const std::string segment = "segment seg-000001.wmseg 3 ";
+  for (const std::string& tail :
+       {std::string("generation x34\n") + segment + "0badcafe\n",
+        std::string("next_segment -1\n"), std::string("generation\n"),
+        segment + "zzzzzzzz\n", segment + "0badcaf\n"}) {
+    fs::remove_all(path("s"));
+    fs::create_directories(path("s"));
+    write_crc_file(manifest, head + tail);
+    EXPECT_EQ(code_of([&] { CertStore::open(path("s"), "k"); }),
+              StoreErrorCode::kBadManifest)
+        << tail;
+  }
+  // Resume treats a bad manifest like a torn one: the checkpoint's
+  // segment set is authoritative and the manifest is rewritten.
+  const CertStore rewound = CertStore::open_at(path("s"), "k", {});
+  EXPECT_TRUE(rewound.segment_refs().empty());
+  EXPECT_EQ(CertStore::open(path("s"), "k").distinct_keys(), 0u);
+}
+
 /// A tiny deterministic census space: keys are i mod 37 over a domain
 /// with gaps, so it has duplicates, inadmissibles, and 37 classes.
 CensusSpace tiny_space() {

@@ -9,11 +9,7 @@ The benches emit a "metrics" object with two counter families:
                assignments scanned, more refinement rounds, ...), not
                scheduling noise. These are gated.
   * "info"  -- scheduling telemetry (steals, idle wakeups, ...). Varies run
-               to run; never gated. Dedup-table telemetry ("dedup.*": probe
-               lengths, CAS retries, segment grows) is surfaced as
-               informational notes so table-health drift is visible in CI
-               logs, but it can never fail the gate -- not even under
-               --exact.
+               to run; never gated.
 
 Wall-clock ("wall_ms") is reported but never gated: CI machines are too
 noisy for time thresholds, which is exactly why the work counters exist.
@@ -61,11 +57,11 @@ And per bench file present only in CURRENT_DIR:
 
 The json's "manifest" (provenance) and "timings" (duration histograms)
 objects are timing/environment-dependent by design and are ignored by
-every rule above — only metrics.work is ever gated. As with "dedup.*",
-a large latency move is still worth a line in the CI log: a p99 shift
-of at least 2x either way (both sets having recorded samples) is
-surfaced as an informational note, and can never fail the gate -- not
-even under --exact.
+every rule above — only metrics.work is ever gated. A large latency
+move is still worth a line in the CI log: a p99 shift of at least 2x
+either way (both sets having recorded samples) is surfaced as an
+informational note, and can never fail the gate -- not even under
+--exact.
 """
 
 import argparse
@@ -153,18 +149,6 @@ def diff_sets(baseline, current, threshold, exact, allow_new=False):
         if isinstance(bms, (int, float)) and isinstance(cms, (int, float)):
             notes.append(
                 f"{name}: wall_ms {bms:.1f} -> {cms:.1f} (informational)")
-        # Dedup-table health telemetry: probe lengths, CAS retries and
-        # segment grows live under metrics.info because they are timing-
-        # dependent (a CAS retry count is a race outcome). Surface them so
-        # drift is visible, but NEVER gate on them -- not even --exact.
-        binfo = base.get("metrics", {}).get("info") or {}
-        cinfo = cur.get("metrics", {}).get("info") or {}
-        for key in sorted(k for k in set(binfo) | set(cinfo)
-                          if k.startswith("dedup.")):
-            bval = binfo.get(key, "absent")
-            cval = cinfo.get(key, "absent")
-            notes.append(
-                f"{name}: info '{key}' {bval} -> {cval} (informational)")
         # Latency p99 shifts: duration histograms are environment-
         # dependent, so they can never gate -- but an order-of-magnitude
         # p99 move is worth a CI-log line. Noted when both sets recorded
@@ -224,14 +208,12 @@ def self_test():
     misfires. CI runs this so the gate itself is covered by the gate job."""
 
     def write_set(root, sub, work, wall=10.0, name="fake", manifest=None,
-                  timings=None, info=None, gate=None):
+                  timings=None, gate=None):
         d = os.path.join(root, sub)
         os.makedirs(d, exist_ok=True)
-        if info is None:
-            info = {"pool.tasks": 3}
         blob = {"name": name, "n": 4, "threads": 2, "wall_ms": wall,
                 "graphs_per_sec": 0.0,
-                "metrics": {"work": work, "info": info}}
+                "metrics": {"work": work, "info": {"pool.tasks": 3}}}
         if manifest is not None:
             blob["manifest"] = manifest
         if timings is not None:
@@ -357,32 +339,6 @@ def self_test():
             rc = run_diff(a)
         checks.append(("sub-2x and zero-count p99 shifts stay silent",
                        rc == 0 and "p99" not in buf.getvalue()))
-        # Dedup-table telemetry drifts wildly between the sets: it must be
-        # *reported* (a note naming the counter) yet never gate, not even
-        # under --exact -- probe lengths and CAS retries are race outcomes,
-        # not work.
-        a.baseline = write_set(tmp, "dbase", work,
-                               info={"pool.tasks": 3,
-                                     "dedup.probe_steps": 100,
-                                     "dedup.cas_retries": 0})
-        a.current = write_set(tmp, "dcur", work,
-                              info={"pool.tasks": 99,
-                                    "dedup.probe_steps": 1000000,
-                                    "dedup.cas_retries": 31337,
-                                    "dedup.grows": 5})
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = run_diff(a)
-        checks.append(("dedup info drift is reported but never gates",
-                       rc == 0 and "dedup.probe_steps" in buf.getvalue()
-                       and "dedup.cas_retries" in buf.getvalue()))
-        a.exact = True
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = run_diff(a)
-        checks.append(("dedup info drift never gates under --exact",
-                       rc == 0 and "dedup.grows" in buf.getvalue()))
-        a.exact = False
         # Per-counter overrides: a baseline may widen one counter's
         # tolerance (rel_tol) or ungate it entirely (gate: false) without
         # loosening the gate for everything else in the bench.
