@@ -76,7 +76,8 @@ namespace {
 // partitions coincide exactly with a full signature pass per round (the
 // scalar oracle in tests/support/oracles.hpp; the clean-state lemma in
 // DESIGN.md §3), which is what keeps `bisim.refine_rounds` — and
-// bounded-refinement semantics, i.e. modal depth — invariant.
+// bounded-refinement semantics, i.e. modal depth — invariant, and what
+// lets an observer see each round as the reference numbers it.
 
 /// Flattened per-state signature: per modality, the sorted (multi)set of
 /// start-of-round successor block ids, separated by -1.
@@ -111,7 +112,24 @@ struct PredCsr {
   }
 };
 
-Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds) {
+/// `block` renumbered by first member, as the reference numbers every
+/// round (its full passes assign ids in state order). Blocks are never
+/// empty, so every id is below the state count.
+Partition numbered_by_first_member(const std::vector<int>& block, int rounds) {
+  Partition p;
+  p.block.resize(block.size());
+  p.rounds = rounds;
+  std::vector<int> renumber(block.size(), -1);
+  for (std::size_t v = 0; v < block.size(); ++v) {
+    int& id = renumber[block[v]];
+    if (id < 0) id = p.num_blocks++;
+    p.block[v] = id;
+  }
+  return p;
+}
+
+Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds,
+                          const RoundObserver& observe) {
   const int n = k.num_states();
   const auto modalities = k.modalities();
   std::vector<const std::vector<std::vector<int>>*> succ;
@@ -119,6 +137,7 @@ Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds) {
   for (const Modality& alpha : modalities) succ.push_back(k.relation(alpha));
 
   const Partition initial = valuation_partition(k);
+  if (observe) observe(initial);
   // Mutable partition state: stable ids, membership lists per block.
   std::vector<int> block = initial.block;       // id at the current round
   std::vector<int> block_old = block;           // ids at the round start
@@ -200,6 +219,7 @@ Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds) {
     if (fresh.empty()) break;
     ++rounds;
     WM_COUNT_ADD(bisim.split_smaller, fresh.size());
+    if (observe) observe(numbered_by_first_member(block, rounds));
 
     // Next round re-examines exactly the predecessors of the smaller
     // halves; patch block_old for the relabelled states only.
@@ -217,28 +237,16 @@ Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds) {
     first = false;
   }
 
-  // Renumber blocks by first member so the returned ids match the
-  // reference exactly (its last full pass assigns ids in state order).
-  Partition p;
-  p.block.assign(static_cast<std::size_t>(n), 0);
-  p.rounds = rounds;
-  std::vector<int> renumber(members.size(), -1);
-  int next_id = 0;
-  for (int v = 0; v < n; ++v) {
-    int& id = renumber[block[v]];
-    if (id < 0) id = next_id++;
-    p.block[v] = id;
-  }
-  p.num_blocks = next_id;
-  return p;
+  return numbered_by_first_member(block, rounds);
 }
 
 /// Counting wrapper: one `refinements` per refinement run, `rounds` from
 /// the deterministic result. Both are work counters, so they vanish
 /// inside speculative parallel_find_first predicates (see parallel.hpp).
-Partition refine(const KripkeModel& k, bool graded, int max_rounds) {
+Partition refine(const KripkeModel& k, bool graded, int max_rounds,
+                 const RoundObserver& observe = {}) {
   WM_TIME_SCOPE("bisim.refine");
-  Partition p = refine_worklist(k, graded, max_rounds);
+  Partition p = refine_worklist(k, graded, max_rounds, observe);
   WM_COUNT(bisim.refinements);
   WM_COUNT_ADD(bisim.refine_rounds, p.rounds);
   return p;
@@ -246,12 +254,14 @@ Partition refine(const KripkeModel& k, bool graded, int max_rounds) {
 
 }  // namespace
 
-Partition coarsest_bisimulation(const KripkeModel& k, int max_rounds) {
-  return refine(k, /*graded=*/false, max_rounds);
+Partition coarsest_bisimulation(const KripkeModel& k, int max_rounds,
+                                const RoundObserver& observe) {
+  return refine(k, /*graded=*/false, max_rounds, observe);
 }
 
-Partition coarsest_graded_bisimulation(const KripkeModel& k, int max_rounds) {
-  return refine(k, /*graded=*/true, max_rounds);
+Partition coarsest_graded_bisimulation(const KripkeModel& k, int max_rounds,
+                                       const RoundObserver& observe) {
+  return refine(k, /*graded=*/true, max_rounds, observe);
 }
 
 bool are_bisimilar(const KripkeModel& k, int u, int v, bool graded) {

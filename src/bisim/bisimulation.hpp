@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "logic/kripke.hpp"
@@ -33,18 +34,28 @@ struct Partition {
 };
 
 /// The B1 partition alone: states grouped by atomic valuation profile,
-/// block ids in first-seen state order. Shared by refinement, quotient
-/// colouring and the distinguishing-formula base layer so all three agree
-/// on the initial blocks. Profiles are packed into one uint64 when the
-/// model has at most 64 propositions.
+/// block ids in first-seen state order. Refinement starts from it, so it
+/// is the round-0 partition an observer sees first. Profiles are packed
+/// into one uint64 when the model has at most 64 propositions.
 Partition valuation_partition(const KripkeModel& k);
+
+/// Sees the partition after each refinement round the engine runs, from
+/// round 0 (the valuation partition) to the returned one, so it fires
+/// `rounds + 1` times; `p.rounds` is the round. Block ids are numbered by
+/// first member exactly as in the returned partition, so the round-t
+/// view equals coarsest_*(k, t). Without an observer no round is
+/// renumbered.
+using RoundObserver = std::function<void(const Partition& p)>;
 
 /// Coarsest bisimulation equivalence (ungraded: ML/MML semantics).
 /// max_rounds < 0 means refine to the fixpoint.
-Partition coarsest_bisimulation(const KripkeModel& k, int max_rounds = -1);
+Partition coarsest_bisimulation(const KripkeModel& k, int max_rounds = -1,
+                                const RoundObserver& observe = {});
 
 /// Coarsest graded bisimulation equivalence (GML/GMML semantics).
-Partition coarsest_graded_bisimulation(const KripkeModel& k, int max_rounds = -1);
+Partition coarsest_graded_bisimulation(const KripkeModel& k,
+                                       int max_rounds = -1,
+                                       const RoundObserver& observe = {});
 
 /// True iff u and v lie in the same block of the coarsest (graded)
 /// bisimulation of k.

@@ -1,153 +1,118 @@
 #include "bisim/distinguish.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
-
-#include "bisim/bisimulation.hpp"
 
 namespace wm {
 
 namespace {
 
-/// One refinement layer: block ids and the characteristic formula of
-/// every block.
-struct Layer {
-  std::vector<int> block;
-  int num_blocks = 0;
-  std::vector<Formula> chi;  // per block id
-};
+/// Each block's lowest-numbered state. Observed and returned partitions
+/// number blocks by first member, so these come out in block-id order.
+std::vector<int> first_members(const Partition& p) {
+  std::vector<int> first;
+  for (int v = 0; v < static_cast<int>(p.block.size()); ++v) {
+    if (p.block[v] == static_cast<int>(first.size())) first.push_back(v);
+  }
+  return first;
+}
 
-Layer initial_layer(const KripkeModel& k) {
-  // B1 blocks from the shared helper (ids in first-seen state order, so
-  // each block's lowest-numbered state is its first representative);
-  // characteristic formula of a block = the full literal conjunction of
-  // its representative's valuation profile.
-  Layer layer;
-  const int n = k.num_states();
-  Partition p = valuation_partition(k);
-  layer.block = std::move(p.block);
-  layer.num_blocks = p.num_blocks;
-  layer.chi.resize(static_cast<std::size_t>(p.num_blocks));
-  std::vector<char> built(static_cast<std::size_t>(p.num_blocks), 0);
-  for (int v = 0; v < n; ++v) {
-    const int b = layer.block[v];
-    if (built[b]) continue;
-    built[b] = 1;
+/// chi^0: the full literal conjunction of each block's first member's
+/// valuation profile.
+std::vector<Formula> atomic_layer(const KripkeModel& k, const Partition& p) {
+  std::vector<Formula> chi;
+  for (const int s : first_members(p)) {
     FormulaVec conj;
     for (int q = 1; q <= k.num_props(); ++q) {
-      conj.push_back(k.prop_holds(q, v) ? Formula::prop(q)
+      conj.push_back(k.prop_holds(q, s) ? Formula::prop(q)
                                         : Formula::negate(Formula::prop(q)));
     }
-    layer.chi[b] = Formula::conj_all(std::move(conj));
+    chi.push_back(Formula::conj_all(std::move(conj)));
   }
-  return layer;
+  return chi;
 }
 
-/// Successor counts of `state` into each block of `prev`, per modality.
-std::vector<std::vector<int>> successor_counts(const KripkeModel& k,
-                                               const Layer& prev, int state,
-                                               const std::vector<Modality>& mods) {
-  std::vector<std::vector<int>> counts(
-      mods.size(), std::vector<int>(static_cast<std::size_t>(prev.num_blocks), 0));
-  for (std::size_t a = 0; a < mods.size(); ++a) {
-    for (int w : k.successors(mods[a], state)) {
-      ++counts[a][prev.block[w]];
-    }
-  }
-  return counts;
-}
-
-Layer refine_layer(const KripkeModel& k, const Layer& prev, bool graded) {
-  const int n = k.num_states();
+/// chi^{r+1} over `next` from chi^r over `prev` (the same partition past
+/// the fixpoint), per block from its first member's successor counts
+/// into the blocks of `prev`.
+std::vector<Formula> next_layer(const KripkeModel& k, bool graded,
+                                const Partition& prev,
+                                const std::vector<Formula>& chi,
+                                const Partition& next) {
   const auto mods = k.modalities();
-  Layer next;
-  next.block.assign(static_cast<std::size_t>(n), 0);
-
-  // Signature: previous block + per-modality per-block counts (graded)
-  // or presence bits (ungraded).
-  using Sig = std::pair<int, std::vector<std::vector<int>>>;
-  std::map<Sig, int> dict;
-  std::vector<int> rep;  // representative state per new block
-  for (int v = 0; v < n; ++v) {
-    auto counts = successor_counts(k, prev, v, mods);
-    if (!graded) {
-      for (auto& row : counts) {
-        for (int& c : row) c = c > 0 ? 1 : 0;
-      }
-    }
-    Sig sig{prev.block[v], std::move(counts)};
-    auto [it, fresh] = dict.try_emplace(std::move(sig), static_cast<int>(dict.size()));
-    next.block[v] = it->second;
-    if (fresh) rep.push_back(v);
-  }
-  next.num_blocks = static_cast<int>(dict.size());
-
-  // Characteristic formulas from each block's representative.
-  next.chi.reserve(rep.size());
-  for (int b = 0; b < next.num_blocks; ++b) {
-    const int s = rep[b];
-    FormulaVec conj{prev.chi[prev.block[s]]};
-    const auto counts = successor_counts(k, prev, s, mods);
-    for (std::size_t a = 0; a < mods.size(); ++a) {
+  std::vector<int> count(static_cast<std::size_t>(prev.num_blocks));
+  std::vector<Formula> out;
+  for (const int s : first_members(next)) {
+    FormulaVec conj{chi[prev.block[s]]};
+    for (const Modality& alpha : mods) {
+      std::fill(count.begin(), count.end(), 0);
+      for (const int w : k.successors(alpha, s)) ++count[prev.block[w]];
       for (int c = 0; c < prev.num_blocks; ++c) {
-        const int cnt = counts[a][c];
         if (graded) {
-          if (cnt > 0) {
-            conj.push_back(Formula::diamond(mods[a], prev.chi[c], cnt));
+          if (count[c] > 0) {
+            conj.push_back(Formula::diamond(alpha, chi[c], count[c]));
           }
-          conj.push_back(Formula::negate(
-              Formula::diamond(mods[a], prev.chi[c], cnt + 1)));
+          conj.push_back(
+              Formula::negate(Formula::diamond(alpha, chi[c], count[c] + 1)));
         } else {
-          const Formula d = Formula::diamond(mods[a], prev.chi[c], 1);
-          conj.push_back(cnt > 0 ? d : Formula::negate(d));
+          const Formula d = Formula::diamond(alpha, chi[c]);
+          conj.push_back(count[c] > 0 ? d : Formula::negate(d));
         }
       }
     }
-    next.chi.push_back(Formula::conj_all(std::move(conj)));
-  }
-  return next;
-}
-
-}  // namespace
-
-Formula characteristic_formula(const KripkeModel& k, int state, bool graded) {
-  Layer layer = initial_layer(k);
-  for (;;) {
-    Layer next = refine_layer(k, layer, graded);
-    if (next.num_blocks == layer.num_blocks) {
-      return layer.chi[layer.block[state]];
-    }
-    layer = std::move(next);
-  }
-}
-
-std::vector<Formula> characteristic_formulas(const KripkeModel& k, int rounds,
-                                             bool graded) {
-  Layer layer = initial_layer(k);
-  for (int t = 0; rounds < 0 || t < rounds; ++t) {
-    Layer next = refine_layer(k, layer, graded);
-    if (next.num_blocks == layer.num_blocks && rounds < 0) break;
-    layer = std::move(next);
-  }
-  std::vector<Formula> out(static_cast<std::size_t>(k.num_states()));
-  for (int v = 0; v < k.num_states(); ++v) {
-    out[v] = layer.chi[layer.block[v]];
+    out.push_back(Formula::conj_all(std::move(conj)));
   }
   return out;
 }
 
+/// Folds the refinement's observed rounds, in order, into formula layers.
+struct Layers {
+  const KripkeModel& k;
+  bool graded;
+  Partition part;            // the last round added
+  std::vector<Formula> chi;  // per block of `part`
+
+  void add(const Partition& next) {
+    chi = next.rounds == 0 ? atomic_layer(k, next)
+                           : next_layer(k, graded, part, chi, next);
+    part = next;
+  }
+};
+
+Partition refine(const KripkeModel& k, int rounds, bool graded,
+                 const RoundObserver& observe) {
+  return graded ? coarsest_graded_bisimulation(k, rounds, observe)
+                : coarsest_bisimulation(k, rounds, observe);
+}
+
+}  // namespace
+
+CharacteristicFormulas characteristic_formulas(const KripkeModel& k,
+                                               int rounds, bool graded) {
+  Layers layers{k, graded, {}, {}};
+  Partition p = refine(k, rounds, graded,
+                       [&](const Partition& next) { layers.add(next); });
+  for (int r = p.rounds; r < rounds; ++r) {
+    layers.chi = next_layer(k, graded, p, layers.chi, p);
+  }
+  return {std::move(p), std::move(layers.chi)};
+}
+
+Formula characteristic_formula(const KripkeModel& k, int state, bool graded) {
+  const CharacteristicFormulas c = characteristic_formulas(k, -1, graded);
+  return c.chi[c.partition.block[state]];
+}
+
 std::optional<Formula> distinguishing_formula(const KripkeModel& k, int u,
                                               int v, bool graded) {
-  Layer layer = initial_layer(k);
-  for (;;) {
-    if (layer.block[u] != layer.block[v]) {
-      return layer.chi[layer.block[u]];
-    }
-    Layer next = refine_layer(k, layer, graded);
-    if (next.num_blocks == layer.num_blocks) return std::nullopt;
-    layer = std::move(next);
-  }
+  Layers layers{k, graded, {}, {}};
+  std::optional<Formula> found;
+  refine(k, -1, graded, [&](const Partition& next) {
+    if (found) return;
+    layers.add(next);
+    if (!next.same_block(u, v)) found = layers.chi[next.block[u]];
+  });
+  return found;
 }
 
 }  // namespace wm

@@ -71,14 +71,6 @@ KripkeModel minimise_graded(const KripkeModel& k) {
   return graded_quotient_model(k, coarsest_graded_bisimulation(k));
 }
 
-std::string model_fingerprint(const KripkeModel& k) {
-  // The complete key: individualisation–refinement canonical form.
-  // Isomorphic models — however symmetric — get byte-identical
-  // fingerprints, so dedup tables keyed on this count isomorphism
-  // classes exactly.
-  return canonical_certificate(k);
-}
-
 QuotientSearchResult search_distinct_quotients(
     std::uint64_t count,
     const std::function<KripkeModel(std::uint64_t)>& build, bool graded,
@@ -95,7 +87,7 @@ QuotientSearchResult search_distinct_quotients(
   obs::ProgressTask progress("quotient.search", count);
   QuotientSearchResult result;
   result.scanned = count;
-  // Pass 1: canonical fingerprint -> lowest input index. The visitor
+  // Pass 1: canonical certificate -> lowest input index. The visitor
   // drives per-candidate minimisation AND canonicalisation; the per-key
   // minimum is a pure function of the scanned family, independent of
   // thread timing — the same dedup_stream contract the enumerator uses.
@@ -104,7 +96,7 @@ QuotientSearchResult search_distinct_quotients(
   visitor.dedup_stream<std::string>(
       0, count,
       [&](std::uint64_t i, auto&& emit) {
-        emit(model_fingerprint(minimise_at(i)));
+        emit(canonical_certificate(minimise_at(i)));
         progress.tick();
       },
       [&](const std::string&, std::uint64_t rep) {

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "bisim/bisimulation.hpp"
@@ -44,16 +43,10 @@ KripkeModel minimise_graded(const KripkeModel& k);
 
 // --- Quotient search --------------------------------------------------------
 
-/// COMPLETE isomorphism key of a Kripke model: the canonical-form
-/// certificate of graph/canonical.hpp (individualisation–refinement).
-/// Equal fingerprints ⟺ isomorphic models — both directions hold, so
-/// deduplicating by this key counts isomorphism classes exactly, even
-/// for highly symmetric models.
-std::string model_fingerprint(const KripkeModel& k);
-
 struct QuotientSearchResult {
   /// Lowest input index per isomorphism class of minimal models (the
-  /// complete model_fingerprint key), in increasing index order — the
+  /// complete canonical_certificate key of graph/canonical.hpp), in
+  /// increasing index order — the
   /// representative the sequential scan encounters first.
   std::vector<std::uint64_t> representatives;
   /// The minimised model of each representative, same order.
@@ -65,7 +58,7 @@ struct QuotientSearchResult {
 
 /// Scans the indexed model family build(i), i in [0, count): minimises
 /// each model (graded quotient if `graded`), dedups by the complete
-/// model_fingerprint key — so the result counts isomorphism classes of
+/// canonical_certificate key — so the result counts isomorphism classes of
 /// minimal models EXACTLY, not refinement classes — and returns the
 /// distinct minimal models, each tagged with the lowest index producing
 /// it. This is the search behind the Lemma 14/15 bisimulation
@@ -74,7 +67,7 @@ struct QuotientSearchResult {
 ///
 /// With a pool, discovery (minimise + canonicalise per candidate) runs
 /// in parallel through ParallelVisitor::dedup_stream, keeping the
-/// minimum index per fingerprint (same scan as the iso-free graph
+/// minimum index per certificate (same scan as the iso-free graph
 /// enumeration); the per-key minimum is
 /// timing-independent, so representatives — and the replayed models —
 /// are byte-identical at any thread count. Counts are additionally

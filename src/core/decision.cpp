@@ -38,6 +38,15 @@ void colouring_for_index(std::uint64_t a, const std::vector<int>& alphabet,
 
 }  // namespace
 
+int scope_delta(const std::vector<PortNumbering>& scope, int requested) {
+  if (requested >= 0) return requested;
+  int delta = 0;
+  for (const PortNumbering& p : scope) {
+    delta = std::max(delta, p.graph().max_degree());
+  }
+  return delta;
+}
+
 KripkeModel joint_model(const std::vector<PortNumbering>& scope,
                         Variant variant, int delta, ThreadPool* pool,
                         std::vector<int>* offsets) {
@@ -56,24 +65,21 @@ Decision decide_solvable(const Problem& problem,
                          ProblemClass c, const DecisionOptions& opts) {
   WM_TRACE_SCOPE("decision");
   WM_TIME_SCOPE("decision.decide");
-  WM_COUNT(decision.calls);
-  const Variant variant = kripke_variant_for(c);
-  const bool graded = graded_logic_for(c);
-
-  int delta = opts.delta;
-  if (delta < 0) {
-    delta = 0;
-    for (const PortNumbering& p : scope) {
-      delta = std::max(delta, p.graph().max_degree());
-    }
-  }
-
-  std::vector<int> offset;
-  const KripkeModel joint = joint_model(scope, variant, delta, opts.pool,
-                                        &offset);
-  const Partition part = graded
+  std::vector<int> offsets;
+  const KripkeModel joint =
+      joint_model(scope, kripke_variant_for(c), scope_delta(scope, opts.delta),
+                  opts.pool, &offsets);
+  const Partition part = graded_logic_for(c)
                              ? coarsest_graded_bisimulation(joint, opts.rounds)
                              : coarsest_bisimulation(joint, opts.rounds);
+  return colour_blocks(problem, scope, offsets, part, opts);
+}
+
+Decision colour_blocks(const Problem& problem,
+                       const std::vector<PortNumbering>& scope,
+                       const std::vector<int>& offsets, const Partition& part,
+                       const DecisionOptions& opts) {
+  WM_COUNT(decision.calls);
   Decision decision;
   decision.blocks = part.num_blocks;
   WM_COUNT_ADD(decision.blocks, part.num_blocks);
@@ -92,7 +98,7 @@ Decision decide_solvable(const Problem& problem,
       const Graph& g = scope[i].graph();
       std::vector<int> out(static_cast<std::size_t>(g.num_nodes()));
       for (int v = 0; v < g.num_nodes(); ++v) {
-        out[v] = colour[part.block[offset[i] + v]];
+        out[v] = colour[part.block[offsets[i] + v]];
       }
       if (!problem.valid(g, out)) return false;
     }

@@ -52,6 +52,10 @@ class DecisionBudgetError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The common degree bound: `requested` if >= 0, else the scope's
+/// maximum degree.
+int scope_delta(const std::vector<PortNumbering>& scope, int requested);
+
 /// The joint Kripke model of the scope: the disjoint union of the
 /// instances' K(G, p) views of `variant` at common degree bound `delta`,
 /// in scope order; (*offsets)[i] is instance i's first state. The views
@@ -59,7 +63,7 @@ class DecisionBudgetError : public std::runtime_error {
 /// the same at any thread count.
 KripkeModel joint_model(const std::vector<PortNumbering>& scope,
                         Variant variant, int delta, ThreadPool* pool,
-                        std::vector<int>* offsets = nullptr);
+                        std::vector<int>* offsets);
 
 /// Decides whether some t-round algorithm of class `c` solves `problem`
 /// on every instance of the scope. Throws DecisionBudgetError if
@@ -67,5 +71,15 @@ KripkeModel joint_model(const std::vector<PortNumbering>& scope,
 Decision decide_solvable(const Problem& problem,
                          const std::vector<PortNumbering>& scope,
                          ProblemClass c, const DecisionOptions& opts = {});
+
+/// decide_solvable's colouring search over `part`, the opts.rounds-step
+/// refinement of the scope's joint model (`offsets` as joint_model
+/// returns them). Throws DecisionBudgetError like decide_solvable.
+/// Synthesis refines through its characteristic formulas and decides on
+/// that partition.
+Decision colour_blocks(const Problem& problem,
+                       const std::vector<PortNumbering>& scope,
+                       const std::vector<int>& offsets, const Partition& part,
+                       const DecisionOptions& opts);
 
 }  // namespace wm

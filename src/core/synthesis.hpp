@@ -3,8 +3,9 @@
 // The full pipeline, every stage a theorem of the paper:
 //
 //   problem + scope + class
-//     -> decide_solvable          (block colouring of the joint refinement)
-//     -> characteristic formulas  (Section 4.2 machinery)
+//     -> characteristic formulas  (Section 4.2 machinery: one joint model,
+//                                  refined once, a formula per block)
+//     -> decide_solvable's search (block colouring of that refinement)
 //     -> one modal formula        (disjunction over the 1-coloured blocks,
 //                                  simplified)
 //     -> compile_formula          (Theorem 2)

@@ -227,12 +227,15 @@ Segment Segment::open(const std::string& path, std::string_view expect_kind) {
   const std::uint64_t payload_bytes = read_le<std::uint64_t>(p + 32);
   const std::uint64_t expect_size =
       kHeaderBytes + kind_len + git_len + payload_bytes;
-  if (expect_size != bytes) {
+  // The sum wraps for a payload_bytes near 2^64; no payload outgrows its
+  // file.
+  if (expect_size != bytes || payload_bytes > bytes) {
     fail(StoreErrorCode::kTruncated,
          path + ": header declares " + std::to_string(expect_size) +
              " bytes, file has " + std::to_string(bytes));
   }
-  if (payload_bytes < seg.count_ * sizeof(std::uint64_t)) {
+  // The CRC does not cover `count`: bound it before `count * 8` can wrap.
+  if (seg.count_ > payload_bytes / sizeof(std::uint64_t)) {
     fail(StoreErrorCode::kTruncated,
          path + ": payload smaller than its offset table");
   }
@@ -253,17 +256,18 @@ Segment Segment::open(const std::string& path, std::string_view expect_kind) {
              std::string(expect_kind) + "'");
   }
   // Validate every record stays in bounds once, so lookups can trust the
-  // offset table unconditionally afterwards.
-  const char* records = seg.payload_ + seg.count_ * sizeof(std::uint64_t);
-  const char* end = seg.map_ + bytes;
+  // offset table unconditionally afterwards. Offsets are compared as
+  // byte counts before any pointer is formed from them.
+  const std::uint64_t table_bytes = seg.count_ * sizeof(std::uint64_t);
+  const char* records = seg.payload_ + table_bytes;
+  const std::uint64_t record_bytes = payload_bytes - table_bytes;
+  // A record is a u32 key length, the key and a u64 value.
+  constexpr std::uint64_t kFixed = sizeof(std::uint32_t) + sizeof(std::uint64_t);
   for (std::uint64_t i = 0; i < seg.count_; ++i) {
     const std::uint64_t off =
         read_le<std::uint64_t>(seg.payload_ + i * sizeof(std::uint64_t));
-    const char* rec = records + off;
-    if (rec + sizeof(std::uint32_t) > end ||
-        rec + sizeof(std::uint32_t) + read_le<std::uint32_t>(rec) +
-                sizeof(std::uint64_t) >
-            end) {
+    if (off > record_bytes || record_bytes - off < kFixed ||
+        record_bytes - off - kFixed < read_le<std::uint32_t>(records + off)) {
       fail(StoreErrorCode::kTruncated,
            path + ": record " + std::to_string(i) + " out of bounds");
     }

@@ -11,6 +11,14 @@
 //    previous partition. The worklist path (bisim/bisimulation.hpp) must
 //    match it exactly: same block ids, same round count. It stays off
 //    the obs counters so reference runs never perturb gated totals.
+//  - characteristic_layer_reference (+ characteristic_formula_reference,
+//    distinguishing_formula_reference): the pre-observer
+//    distinguishing-formula engine — its own round-synchronous
+//    refinement, grouping states by a std::map over per-state
+//    successor-count matrices, one formula layer per round. The shipped
+//    entry points (bisim/distinguish.hpp), which read the rounds off the
+//    worklist's observer, must build `==` formulas and the same
+//    partition. Off the obs counters.
 //  - canonical_form_reference / refine_colours_reference: the
 //    pre-arena canonical-form engine — per-vertex signature vectors
 //    ranked through a std::map every round, certificates built by
@@ -164,6 +172,147 @@ inline Partition coarsest_bisimulation_reference(const KripkeModel& k,
 inline Partition coarsest_graded_bisimulation_reference(const KripkeModel& k,
                                                         int max_rounds = -1) {
   return refine_reference_impl(k, /*graded=*/true, max_rounds);
+}
+
+// --- Characteristic formulas: the pre-observer layer builder ---------------
+
+/// One refinement round: block ids (numbered by first member) and the
+/// characteristic formula of every block.
+struct CharacteristicLayer {
+  std::vector<int> block;
+  int num_blocks = 0;
+  std::vector<Formula> chi;  // per block id
+};
+
+namespace distinguish_reference_detail {
+
+inline CharacteristicLayer initial_layer(const KripkeModel& k) {
+  CharacteristicLayer layer;
+  const int n = k.num_states();
+  Partition p = valuation_partition(k);
+  layer.block = std::move(p.block);
+  layer.num_blocks = p.num_blocks;
+  layer.chi.resize(static_cast<std::size_t>(p.num_blocks));
+  std::vector<char> built(static_cast<std::size_t>(p.num_blocks), 0);
+  for (int v = 0; v < n; ++v) {
+    const int b = layer.block[v];
+    if (built[b]) continue;
+    built[b] = 1;
+    FormulaVec conj;
+    for (int q = 1; q <= k.num_props(); ++q) {
+      conj.push_back(k.prop_holds(q, v) ? Formula::prop(q)
+                                        : Formula::negate(Formula::prop(q)));
+    }
+    layer.chi[b] = Formula::conj_all(std::move(conj));
+  }
+  return layer;
+}
+
+/// Successor counts of `state` into each block of `prev`, per modality.
+inline std::vector<std::vector<int>> successor_counts(
+    const KripkeModel& k, const CharacteristicLayer& prev, int state,
+    const std::vector<Modality>& mods) {
+  std::vector<std::vector<int>> counts(
+      mods.size(),
+      std::vector<int>(static_cast<std::size_t>(prev.num_blocks), 0));
+  for (std::size_t a = 0; a < mods.size(); ++a) {
+    for (int w : k.successors(mods[a], state)) {
+      ++counts[a][prev.block[w]];
+    }
+  }
+  return counts;
+}
+
+inline CharacteristicLayer refine_layer(const KripkeModel& k,
+                                        const CharacteristicLayer& prev,
+                                        bool graded) {
+  const int n = k.num_states();
+  const auto mods = k.modalities();
+  CharacteristicLayer next;
+  next.block.assign(static_cast<std::size_t>(n), 0);
+
+  // Signature: previous block + per-modality per-block counts (graded)
+  // or presence bits (ungraded).
+  using Sig = std::pair<int, std::vector<std::vector<int>>>;
+  std::map<Sig, int> dict;
+  std::vector<int> rep;  // representative state per new block
+  for (int v = 0; v < n; ++v) {
+    auto counts = successor_counts(k, prev, v, mods);
+    if (!graded) {
+      for (auto& row : counts) {
+        for (int& c : row) c = c > 0 ? 1 : 0;
+      }
+    }
+    Sig sig{prev.block[v], std::move(counts)};
+    auto [it, fresh] =
+        dict.try_emplace(std::move(sig), static_cast<int>(dict.size()));
+    next.block[v] = it->second;
+    if (fresh) rep.push_back(v);
+  }
+  next.num_blocks = static_cast<int>(dict.size());
+
+  // Characteristic formulas from each block's representative.
+  next.chi.reserve(rep.size());
+  for (int b = 0; b < next.num_blocks; ++b) {
+    const int s = rep[b];
+    FormulaVec conj{prev.chi[prev.block[s]]};
+    const auto counts = successor_counts(k, prev, s, mods);
+    for (std::size_t a = 0; a < mods.size(); ++a) {
+      for (int c = 0; c < prev.num_blocks; ++c) {
+        const int cnt = counts[a][c];
+        if (graded) {
+          if (cnt > 0) {
+            conj.push_back(Formula::diamond(mods[a], prev.chi[c], cnt));
+          }
+          conj.push_back(Formula::negate(
+              Formula::diamond(mods[a], prev.chi[c], cnt + 1)));
+        } else {
+          const Formula d = Formula::diamond(mods[a], prev.chi[c], 1);
+          conj.push_back(cnt > 0 ? d : Formula::negate(d));
+        }
+      }
+    }
+    next.chi.push_back(Formula::conj_all(std::move(conj)));
+  }
+  return next;
+}
+
+}  // namespace distinguish_reference_detail
+
+/// The layer after exactly `rounds` refinement steps (rounds < 0: the
+/// fixpoint); past the fixpoint each round still adds a layer.
+inline CharacteristicLayer characteristic_layer_reference(const KripkeModel& k,
+                                                          int rounds,
+                                                          bool graded) {
+  using namespace distinguish_reference_detail;
+  CharacteristicLayer layer = initial_layer(k);
+  for (int t = 0; rounds < 0 || t < rounds; ++t) {
+    CharacteristicLayer next = refine_layer(k, layer, graded);
+    if (next.num_blocks == layer.num_blocks && rounds < 0) break;
+    layer = std::move(next);
+  }
+  return layer;
+}
+
+inline Formula characteristic_formula_reference(const KripkeModel& k,
+                                                int state, bool graded) {
+  const CharacteristicLayer layer =
+      characteristic_layer_reference(k, -1, graded);
+  return layer.chi[layer.block[state]];
+}
+
+inline std::optional<Formula> distinguishing_formula_reference(
+    const KripkeModel& k, int u, int v, bool graded) {
+  using namespace distinguish_reference_detail;
+  CharacteristicLayer layer = initial_layer(k);
+  for (;;) {
+    if (layer.block[u] != layer.block[v]) {
+      return layer.chi[layer.block[u]];
+    }
+    CharacteristicLayer next = refine_layer(k, layer, graded);
+    if (next.num_blocks == layer.num_blocks) return std::nullopt;
+    layer = std::move(next);
+  }
 }
 
 // --- Canonical forms: the pre-arena engine ----------------------------------

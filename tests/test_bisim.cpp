@@ -12,6 +12,7 @@
 #include "graph/generators.hpp"
 #include "graph/matching.hpp"
 #include "obs/counters.hpp"
+#include "obs/histogram.hpp"
 #include "port/port_numbering.hpp"
 #include "support/canon_harness.hpp"
 #include "support/diff_harness.hpp"
@@ -247,6 +248,53 @@ TEST_P(RefinementDifferential, PartitionCommutesWithRelabelling) {
   }
 }
 
+// The observer sees every round the engine runs, numbered exactly like
+// the reference's partition at that round bound, on seeded port-numbered
+// graphs in all four Kripke variants.
+TEST_P(RefinementDifferential, ObserverSeesEveryReferenceRound) {
+  const bool graded = GetParam();
+  auto observed = [&](const KripkeModel& k, int t,
+                      std::vector<Partition>& seen) {
+    const RoundObserver observe = [&](const Partition& p) {
+      seen.push_back(p);
+    };
+    return graded ? coarsest_graded_bisimulation(k, t, observe)
+                  : coarsest_bisimulation(k, t, observe);
+  };
+  auto reference = [&](const KripkeModel& k, int t) {
+    return graded ? coarsest_graded_bisimulation_reference(k, t)
+                  : coarsest_bisimulation_reference(k, t);
+  };
+  for (const std::uint64_t seed : difftest::seeds_under_test()) {
+    Rng rng(seed + 41);
+    for (int trial = 0; trial < 20; ++trial) {
+      const int n = 4 + static_cast<int>(rng.below(6));
+      const Graph g = random_connected_graph(n, /*max_deg=*/3,
+                                             static_cast<int>(rng.below(4)),
+                                             rng);
+      const PortNumbering p = PortNumbering::random(g, rng);
+      for (const Variant variant : {Variant::PlusPlus, Variant::MinusPlus,
+                                    Variant::PlusMinus, Variant::MinusMinus}) {
+        const KripkeModel k = kripke_from_graph(p, variant);
+        for (const int t : {-1, 0, 1, 2, 3}) {
+          std::vector<Partition> seen;
+          const Partition got = observed(k, t, seen);
+          ASSERT_EQ(seen.size(), static_cast<std::size_t>(got.rounds) + 1)
+              << "t=" << t << " — reproduce with WM_SEED=" << seed;
+          for (int r = 0; r <= got.rounds; ++r) {
+            const Partition want = reference(k, r);
+            EXPECT_EQ(seen[r].block, want.block)
+                << "round " << r << " t=" << t << " WM_SEED=" << seed;
+            EXPECT_EQ(seen[r].num_blocks, want.num_blocks) << "round " << r;
+            EXPECT_EQ(seen[r].rounds, r);
+          }
+          EXPECT_EQ(seen.back().block, got.block);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Logics, RefinementDifferential, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Graded" : "Ungraded";
@@ -298,6 +346,46 @@ TEST(BisimObs, RefinementWorkInvariantAcrossThreadCounts) {
   ASSERT_TRUE(serial.contains("bisim.refinements"));
   const auto parallel = run_batch(8);
   EXPECT_EQ(serial, parallel);
+#endif
+}
+
+// One call is one refinement, observed or not: perfbench's traced
+// locality replay and the library's own count both read these.
+TEST(BisimObs, EachCallRecordsOneRefineSampleAndOneRefinement) {
+#ifdef WM_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (-DWM_OBS=OFF)";
+#else
+  Rng mrng(5);
+  const KripkeModel k = canontest::random_kripke_model(mrng);
+  const obs::Histogram& refine = obs::histograms().histogram("bisim.refine");
+  auto refinements = [] {
+    return obs::registry().snapshot(obs::CounterKind::kWork)
+        ["bisim.refinements"];
+  };
+  for (const bool graded : {false, true}) {
+    for (const bool with_observer : {false, true}) {
+      for (const int t : {-1, 0, 2}) {
+        const std::uint64_t samples = refine.summary().count;
+        const std::uint64_t runs = refinements();
+        int rounds_seen = 0;
+        const RoundObserver observe = [&](const Partition&) { ++rounds_seen; };
+        const RoundObserver none;
+        const RoundObserver& o = with_observer ? observe : none;
+        const Partition p = graded ? coarsest_graded_bisimulation(k, t, o)
+                                   : coarsest_bisimulation(k, t, o);
+        EXPECT_EQ(refine.summary().count - samples, 1u)
+            << "graded=" << graded << " observer=" << with_observer;
+        EXPECT_EQ(refinements() - runs, 1u);
+        EXPECT_EQ(rounds_seen, with_observer ? p.rounds + 1 : 0);
+      }
+    }
+  }
+  // The two-argument form compiles unchanged and counts the same.
+  const std::uint64_t samples = refine.summary().count;
+  const std::uint64_t runs = refinements();
+  (void)coarsest_bisimulation(k, 1);
+  EXPECT_EQ(refine.summary().count - samples, 1u);
+  EXPECT_EQ(refinements() - runs, 1u);
 #endif
 }
 

@@ -95,8 +95,8 @@ TEST(CanonicalParallel, QuotientSearchPooledMatchesSequential) {
           << "threads=" << threads;
       ASSERT_EQ(serial.models.size(), par.models.size());
       for (std::size_t j = 0; j < serial.models.size(); ++j) {
-        EXPECT_EQ(model_fingerprint(serial.models[j]),
-                  model_fingerprint(par.models[j]));
+        EXPECT_EQ(canonical_certificate(serial.models[j]),
+                  canonical_certificate(par.models[j]));
       }
     }
   }

@@ -27,6 +27,7 @@
 #include "core/decision.hpp"
 #include "core/synthesis.hpp"
 #include "cover/covering.hpp"
+#include "graph/canonical.hpp"
 #include "graph/generators.hpp"
 #include "logic/kripke.hpp"
 #include "port/port_numbering.hpp"
@@ -221,10 +222,10 @@ std::string quotient_summary(const QuotientSearchResult& r) {
   os << "scanned=" << r.scanned << " reps=";
   for (std::uint64_t i : r.representatives) os << i << ",";
   os << " fps=";
-  // model_fingerprint is the complete canonical key (PR 3), so the
+  // The canonical certificate is the complete isomorphism key, so the
   // summary pins the isomorphism class of every returned model, not
   // merely its refinement class.
-  for (const KripkeModel& m : r.models) os << model_fingerprint(m) << "|";
+  for (const KripkeModel& m : r.models) os << canonical_certificate(m) << "|";
   return os.str();
 }
 
@@ -332,8 +333,8 @@ TEST(differential_quotient, CountInvariantUnderRelabelling) {
         << "seed=" << seed;
     ASSERT_EQ(plain.models.size(), relab.models.size());
     for (std::size_t j = 0; j < plain.models.size(); ++j) {
-      EXPECT_EQ(model_fingerprint(plain.models[j]),
-                model_fingerprint(relab.models[j]))
+      EXPECT_EQ(canonical_certificate(plain.models[j]),
+                canonical_certificate(relab.models[j]))
           << "seed=" << seed << " j=" << j;
     }
   }
@@ -347,7 +348,8 @@ TEST(differential_quotient, CanonicalCountNeverExceedsRefinementCount) {
   for (const std::uint64_t seed : seeds_under_test()) {
     std::set<std::string> canonical_keys;
     for (std::uint64_t i = 0; i < kCount; ++i) {
-      canonical_keys.insert(model_fingerprint(minimise(seeded_model(seed, i))));
+      canonical_keys.insert(
+          canonical_certificate(minimise(seeded_model(seed, i))));
     }
     const QuotientSearchResult r = search_distinct_quotients(
         kCount, [&](std::uint64_t i) { return seeded_model(seed, i); });

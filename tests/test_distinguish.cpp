@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "compile/formula_compiler.hpp"
 #include "core/classification.hpp"
 #include "graph/generators.hpp"
 #include "logic/model_checker.hpp"
 #include "port/port_numbering.hpp"
 #include "runtime/engine.hpp"
+#include "support/canon_harness.hpp"
+#include "support/diff_harness.hpp"
+#include "support/oracles.hpp"
 
 namespace wm {
 namespace {
@@ -130,6 +139,115 @@ TEST(Distinguish, DepthBoundedByRefinementRounds) {
   const auto f23 = distinguishing_formula(k, 2, 3);
   ASSERT_TRUE(f23.has_value());
   EXPECT_EQ(f23->modal_depth(), 2);
+}
+
+// --- Differential: observer-built formulas ≡ the pre-observer builder ----
+//
+// The three entry points read their rounds off the worklist's observer;
+// the reference (tests/support/oracles.hpp) still refines with its own
+// signature map. Formulas must be equal (same conjuncts in the same
+// order: first members in state order, then modality, then
+// previous-round block id), partitions identical, including rounds asked
+// for past the fixpoint. WM_SEED=<n> narrows a failure to one seed.
+
+/// Formula's `==`, with each pair of inner nodes compared once. `==`
+/// walks DAG-shared formulas as trees: each layer of a characteristic
+/// formula repeats the previous one per modality and block, so at depth
+/// 6 it runs for minutes. An inner node is identified by its children's
+/// storage (&child(0)), which every handle on that node shares.
+using NodePairs = std::set<std::pair<const Formula*, const Formula*>>;
+
+bool same_node(const Formula& a, const Formula& b, NodePairs& equal) {
+  if (a.hash() != b.hash() || a.kind() != b.kind() ||
+      a.num_children() != b.num_children()) {
+    return false;
+  }
+  if (a.num_children() == 0) return a == b;
+  const std::pair key{&a.child(0), &b.child(0)};
+  if (equal.contains(key)) return true;
+  const bool modal = a.kind() == Formula::Kind::Diamond ||
+                     a.kind() == Formula::Kind::Box;
+  if (modal && !(a.modality() == b.modality())) return false;
+  if (a.kind() == Formula::Kind::Diamond && a.grade() != b.grade()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.num_children(); ++i) {
+    if (!same_node(a.child(i), b.child(i), equal)) return false;
+  }
+  equal.insert(key);
+  return true;
+}
+
+bool same_formula(const Formula& a, const Formula& b) {
+  NodePairs equal;
+  return same_node(a, b, equal);
+}
+
+bool same_formula(const std::optional<Formula>& a,
+                  const std::optional<Formula>& b) {
+  return a.has_value() == b.has_value() && (!a || same_formula(*a, *b));
+}
+
+bool same_formulas(const std::vector<Formula>& a,
+                   const std::vector<Formula>& b) {
+  NodePairs equal;  // shared: the blocks' formulas share their layers
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_node(a[i], b[i], equal)) return false;
+  }
+  return true;
+}
+
+TEST(DistinguishDifferential, SameFormulaIsFormulaEquality) {
+  // On formulas small enough for `==` itself, the memoised comparison
+  // must agree with it, both ways.
+  const KripkeModel k = mm(path_graph(5));
+  for (const bool graded : {false, true}) {
+    const std::vector<Formula> a = characteristic_formulas(k, 2, graded).chi;
+    const std::vector<Formula> b =
+        characteristic_layer_reference(k, 2, graded).chi;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        EXPECT_EQ(same_formula(a[i], b[j]), a[i] == b[j]) << i << "," << j;
+      }
+      EXPECT_TRUE(same_formula(a[i], b[i]));
+    }
+  }
+}
+
+TEST(DistinguishDifferential, EntryPointsMatchLayerBuilderReference) {
+  for (const std::uint64_t seed : difftest::seeds_under_test()) {
+    Rng mrng(seed + 17);
+    for (int trial = 0; trial < 12; ++trial) {
+      const KripkeModel k = canontest::random_kripke_model(mrng);
+      for (const bool graded : {false, true}) {
+        for (const int t : {-1, 0, 1, 2, 3, 6}) {
+          const CharacteristicFormulas got =
+              characteristic_formulas(k, t, graded);
+          const CharacteristicLayer want =
+              characteristic_layer_reference(k, t, graded);
+          EXPECT_EQ(got.partition.block, want.block)
+              << "t=" << t << " graded=" << graded << " WM_SEED=" << seed;
+          EXPECT_EQ(got.partition.num_blocks, want.num_blocks);
+          EXPECT_TRUE(same_formulas(got.chi, want.chi))
+              << "t=" << t << " graded=" << graded << " WM_SEED=" << seed;
+        }
+        for (int s = 0; s < k.num_states(); ++s) {
+          EXPECT_TRUE(
+              same_formula(characteristic_formula(k, s, graded),
+                           characteristic_formula_reference(k, s, graded)))
+              << "state " << s << " graded=" << graded << " WM_SEED=" << seed;
+          for (int v = 0; v < k.num_states(); ++v) {
+            EXPECT_TRUE(
+                same_formula(distinguishing_formula(k, s, v, graded),
+                             distinguishing_formula_reference(k, s, v, graded)))
+                << s << " vs " << v << " graded=" << graded
+                << " WM_SEED=" << seed;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -148,6 +148,78 @@ TEST_F(StoreTest, SegmentCrcMismatchDetected) {
             StoreErrorCode::kCrcMismatch);
 }
 
+// Crafted segments: little-endian header fields rewritten in place, the
+// payload CRC (header bytes [20, 24), over everything from byte 48 on)
+// resealed so each case gets past the CRC check.
+std::uint64_t peek_le(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+  }
+  return v;
+}
+
+void poke_le(std::string& bytes, std::size_t at, int width, std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+void reseal(std::string& bytes) {
+  poke_le(bytes, 20, 4, crc32(std::string_view(bytes).substr(48)));
+}
+
+/// First byte of the offset table: after the header, kind and git bytes.
+std::size_t payload_start(const std::string& bytes) {
+  return 48 + peek_le(bytes, 12, 4) + peek_le(bytes, 16, 4);
+}
+
+TEST_F(StoreTest, SegmentCraftedOffsetRejected) {
+  // An offset near 2^64 used to form a pointer far past the mapping
+  // before its bounds test, and the read behind it crashed.
+  Segment::write(path("seg"), "k", {{"alpha", 1}});
+  std::string bytes = slurp(path("seg"));
+  poke_le(bytes, payload_start(bytes), 8,
+          std::uint64_t{0} - (std::uint64_t{1} << 40));  // 2^64 - 2^40
+  reseal(bytes);
+  spit(path("seg"), bytes);
+  EXPECT_EQ(code_of([&] { Segment::open(path("seg"), "k"); }),
+            StoreErrorCode::kTruncated);
+}
+
+TEST_F(StoreTest, SegmentCraftedCountRejected) {
+  // The CRC does not cover `count`, and count * 8 wraps: 2^61 + c makes
+  // the offset table look 8c bytes long. At c = 1 the scan read the
+  // record's length and first key bytes as a second offset; this key
+  // makes that offset 2^64 - 2^40 + 8, and the read behind it crashed.
+  const std::string key("\x00\xff\xff\xff\x00\x00\x00\x00", 8);
+  Segment::write(path("seg"), "k", {{key, 1}});
+  const std::string whole = slurp(path("seg"));
+  for (const std::uint64_t c : {1, 3}) {
+    std::string bytes = whole;
+    poke_le(bytes, 24, 8, (std::uint64_t{1} << 61) + c);
+    spit(path("seg"), bytes);
+    EXPECT_EQ(code_of([&] { Segment::open(path("seg"), "k"); }),
+              StoreErrorCode::kTruncated)
+        << "count 2^61 + " << c;
+  }
+}
+
+TEST_F(StoreTest, SegmentCraftedPayloadSizeRejected) {
+  // A kind length of 2^32 - 1 with payload_bytes lowered to match wraps
+  // the declared file size back to the real one, and the CRC still spans
+  // the real bytes; reading the kind then ran 4 GiB past the mapping.
+  Segment::write(path("seg"), "k", {{"alpha", 1}});
+  std::string bytes = slurp(path("seg"));
+  const std::uint64_t kind_len = peek_le(bytes, 12, 4);
+  const std::uint64_t payload_bytes = peek_le(bytes, 32, 8);
+  poke_le(bytes, 12, 4, 0xffffffffu);
+  poke_le(bytes, 32, 8, payload_bytes + kind_len - 0xffffffffu);
+  spit(path("seg"), bytes);
+  EXPECT_EQ(code_of([&] { Segment::open(path("seg"), "k"); }),
+            StoreErrorCode::kTruncated);
+}
+
 TEST_F(StoreTest, SegmentKindMismatchDetected) {
   Segment::write(path("seg"), "graph-n5", {{"alpha", 1}});
   EXPECT_EQ(code_of([&] { Segment::open(path("seg"), "kripke-n5"); }),

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "graph/generators.hpp"
 #include "logic/model_checker.hpp"
+#include "obs/counters.hpp"
 #include "problems/catalogue.hpp"
 #include "runtime/engine.hpp"
 
@@ -113,6 +117,47 @@ TEST(Synthesis, FormulaMatchesMachineOnModelChecker) {
       EXPECT_EQ(truth[v], r.final_states[v].as_int() == 1);
     }
   }
+}
+
+// One synthesis call builds the scope's joint model once (one Kripke
+// view per instance) and refines it once: the characteristic formulas'
+// refinement is the partition the colouring search decides on.
+TEST(SynthesisObs, OneJointModelAndOneRefinementPerCall) {
+#ifdef WM_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (-DWM_OBS=OFF)";
+#else
+  auto work = [] { return obs::registry().snapshot(obs::CounterKind::kWork); };
+  auto added = [](const auto& before, const auto& after,
+                  const std::string& name) -> std::uint64_t {
+    const auto b = before.find(name);
+    const auto a = after.find(name);
+    return (a == after.end() ? 0 : a->second) -
+           (b == before.end() ? 0 : b->second);
+  };
+  const auto scope = star_scope(4);
+  DecisionOptions opts;
+  opts.rounds = 1;
+  for (const ProblemClass c : {ProblemClass::SV, ProblemClass::MB}) {
+    const auto before = work();
+    const auto result =
+        synthesise_solution(*leaf_in_star_problem(), scope, c, opts);
+    const auto after = work();
+    EXPECT_EQ(result.has_value(), c == ProblemClass::SV);
+    EXPECT_EQ(added(before, after, "kripke.models"), scope.size())
+        << problem_class_name(c);
+    EXPECT_EQ(added(before, after, "bisim.refinements"), 1u)
+        << problem_class_name(c);
+  }
+  const std::vector<PortNumbering> path{
+      PortNumbering::identity(path_graph(5))};
+  const auto before = work();
+  const auto result =
+      synthesise_multivalued(*three_colouring_problem(), path, ProblemClass::VV);
+  const auto after = work();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(added(before, after, "kripke.models"), path.size());
+  EXPECT_EQ(added(before, after, "bisim.refinements"), 1u);
+#endif
 }
 
 }  // namespace
