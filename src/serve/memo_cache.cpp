@@ -1,240 +1,99 @@
 #include "serve/memo_cache.hpp"
 
-#include <bit>
+#include <algorithm>
 
 #include "obs/counters.hpp"
 #include "obs/log.hpp"
 
 namespace wm::serve {
 
-namespace {
+MemoCache::MemoCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-std::size_t table_size_for(std::size_t cap) {
-  // Keep the live load factor at <= 50% so triangular probe chains stay
-  // short even with a tombstone population on top.
-  return std::bit_ceil(std::max<std::size_t>(8, cap * 2));
-}
-
-}  // namespace
-
-MemoCache::MemoCache(std::size_t capacity, int shards) {
-  if (capacity == 0) capacity = 1;
-  const std::size_t nshards =
-      shards > 0 ? static_cast<std::size_t>(shards)
-                 : std::min<std::size_t>(8, std::max<std::size_t>(1, capacity));
-  shard_capacity_ = (capacity + nshards - 1) / nshards;
-  shards_ = std::vector<Shard>(nshards);
-  for (Shard& s : shards_) {
-    s.slots.resize(table_size_for(shard_capacity_));
-  }
-}
-
-std::uint64_t MemoCache::key_hash(const std::string& key) {
-  // FNV-1a, same primitive as canonical.hpp's certificate_hash; mixed
-  // before any placement use (hash_mix.hpp).
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-MemoCache::Shard& MemoCache::shard_for(std::uint64_t hash) {
-  return shards_[hash_mix(hash) % shards_.size()];
-}
-
-const MemoCache::Shard& MemoCache::shard_for(std::uint64_t hash) const {
-  return shards_[hash_mix(hash) % shards_.size()];
-}
-
-std::size_t MemoCache::probe(const Shard& s, std::uint64_t hash,
-                             const std::string& key, bool& found) const {
-  const std::size_t mask = s.slots.size() - 1;
-  std::size_t idx = hash_mix(hash ^ 0x6d0f27bd) & mask;
-  std::size_t candidate = s.slots.size();  // first tombstone on the chain
-  for (std::size_t step = 1;; ++step) {
-    const Slot& slot = s.slots[idx];
-    switch (slot.state) {
-      case State::kEmpty:
-        found = false;
-        return candidate < s.slots.size() ? candidate : idx;
-      case State::kTombstone:
-        if (candidate == s.slots.size()) candidate = idx;
-        break;
-      case State::kComputing:
-      case State::kReady:
-        if (slot.hash == hash && slot.key == key) {
-          found = true;
-          return idx;
-        }
-        break;
+bool MemoCache::evict_one() {
+  // Every spared entry moves to the young end with its bit cleared, so
+  // two laps either find a victim or show every entry is in flight.
+  for (std::size_t walked = 0; walked < 2 * entries_.size(); ++walked) {
+    const Entries::iterator oldest = entries_.begin();
+    if (oldest->ready && !oldest->referenced) {
+      index_.erase(oldest->key);
+      entries_.erase(oldest);
+      ++tally_.evictions;
+      WM_COUNT_INFO(serve.cache.evictions);
+      if (obs::log_enabled(obs::LogLevel::kDebug)) {
+        obs::LogEvent(obs::LogLevel::kDebug, "cache_evict")
+            .num_u("live", entries_.size());
+      }
+      return true;
     }
-    // Triangular probing visits every slot of a power-of-two table; the
-    // occupied counter is kept below the table size, so an empty slot
-    // always terminates the walk.
-    idx = (idx + step) & mask;
-  }
-}
-
-bool MemoCache::evict_one(Shard& s) {
-  const std::size_t n = s.slots.size();
-  // Two full passes: the first may only clear reference bits, the
-  // second then finds a victim unless every live entry is kComputing.
-  for (std::size_t scanned = 0; scanned < 2 * n; ++scanned) {
-    Slot& slot = s.slots[s.clock];
-    s.clock = (s.clock + 1) % n;
-    if (slot.state != State::kReady) continue;
-    if (slot.referenced) {
-      slot.referenced = false;
-      continue;
-    }
-    slot.state = State::kTombstone;
-    slot.key.clear();
-    slot.key.shrink_to_fit();
-    slot.value.clear();
-    slot.value.shrink_to_fit();
-    --s.live;
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    WM_COUNT_INFO(serve.cache.evictions);
-    if (obs::log_enabled(obs::LogLevel::kDebug)) {
-      obs::LogEvent(obs::LogLevel::kDebug, "cache_evict")
-          .num_u("live", s.live);
-    }
-    return true;
+    oldest->referenced = false;
+    entries_.splice(entries_.end(), entries_, oldest);
   }
   return false;
 }
 
-void MemoCache::rehash(Shard& s) {
-  std::vector<Slot> old;
-  old.swap(s.slots);
-  s.slots.resize(old.size());
-  s.occupied = s.live;
-  s.clock = 0;
-  for (Slot& slot : old) {
-    if (slot.state != State::kComputing && slot.state != State::kReady) {
-      continue;
-    }
-    bool found = false;
-    const std::size_t idx = probe(s, slot.hash, slot.key, found);
-    s.slots[idx] = std::move(slot);
-  }
-  WM_COUNT_INFO(serve.cache.rehashes);
-}
-
 MemoCache::Result MemoCache::get_or_compute(
     const std::string& key, const std::function<std::string()>& compute) {
-  const std::uint64_t hash = key_hash(key);
-  Shard& s = shard_for(hash);
-  bool claimed = false;
-  bool bypass = false;
-  {
-    std::unique_lock<std::mutex> lock(s.mu);
-    for (;;) {
-      bool found = false;
-      const std::size_t idx = probe(s, hash, key, found);
-      if (found && s.slots[idx].state == State::kReady) {
-        Slot& slot = s.slots[idx];
-        slot.referenced = true;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return Result{slot.value, /*hit=*/true};
-      }
-      if (found) {  // kComputing: single-flight wait, then re-probe
-        s.cv.wait(lock);
-        continue;
-      }
-      // Absent: claim a slot, evicting past the live cap. The claimed
-      // slot keeps probe chains sound (first tombstone else the empty).
-      if (s.live >= shard_capacity_ && !evict_one(s)) {
-        bypass = true;  // every live entry is kComputing
-        break;
-      }
-      Slot& slot = s.slots[idx];
-      const bool was_empty = slot.state == State::kEmpty;
-      slot.state = State::kComputing;
-      slot.referenced = false;
-      slot.hash = hash;
-      slot.key = key;
-      slot.value.clear();
-      ++s.live;
-      if (was_empty) ++s.occupied;
-      // Leave one empty slot per chain's worth of headroom: rehash when
-      // tombstones + live fill 3/4 of the table.
-      if (s.occupied * 4 > s.slots.size() * 3) rehash(s);
-      claimed = true;
-      break;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  while (it != index_.end() && !it->second->ready) {
+    published_.wait(lock);  // single flight: another requester computes
+    it = index_.find(key);
+  }
+  if (it != index_.end()) {
+    it->second->referenced = true;
+    ++tally_.hits;
+    return Result{it->second->value, /*hit=*/true};
   }
 
-  if (bypass) {
-    bypasses_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  if (entries_.size() >= capacity_ && !evict_one()) {
+    ++tally_.bypasses;
+    ++tally_.misses;
+    lock.unlock();
     WM_COUNT_INFO(serve.cache.bypasses);
     if (obs::log_enabled(obs::LogLevel::kDebug)) {
       obs::LogEvent(obs::LogLevel::kDebug, "cache_bypass");
     }
     return Result{compute(), /*hit=*/false};
   }
+  // In-flight entries are never evicted, so `entry` stays valid until
+  // this call publishes or removes it.
+  const Entries::iterator entry = entries_.emplace(entries_.end());
+  entry->key = key;
+  index_.emplace(entry->key, entry);
+  lock.unlock();
 
   std::string value;
   try {
     value = compute();
   } catch (...) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    bool found = false;
-    const std::size_t idx = probe(s, hash, key, found);
-    if (found && s.slots[idx].state == State::kComputing) {
-      Slot& slot = s.slots[idx];
-      slot.state = State::kTombstone;
-      slot.key.clear();
-      --s.live;
-    }
-    s.cv.notify_all();
+    lock.lock();
+    index_.erase(entry->key);
+    entries_.erase(entry);
+    published_.notify_all();
     throw;
   }
-  (void)claimed;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    bool found = false;
-    const std::size_t idx = probe(s, hash, key, found);
-    // The slot cannot have vanished: kComputing entries are never
-    // evicted and rehash preserves them.
-    if (found && s.slots[idx].state == State::kComputing) {
-      Slot& slot = s.slots[idx];
-      slot.value = value;
-      slot.state = State::kReady;
-      slot.referenced = true;
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    s.cv.notify_all();
-  }
+  lock.lock();
+  entry->value = value;
+  entry->ready = true;
+  entry->referenced = true;
+  ++tally_.misses;
+  published_.notify_all();
   return Result{std::move(value), /*hit=*/false};
 }
 
 std::optional<std::string> MemoCache::peek(const std::string& key) const {
-  const std::uint64_t hash = key_hash(key);
-  const Shard& s = shard_for(hash);
-  std::lock_guard<std::mutex> lock(s.mu);
-  bool found = false;
-  const std::size_t idx = probe(s, hash, key, found);
-  if (found && s.slots[idx].state == State::kReady) {
-    return s.slots[idx].value;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it != index_.end() && it->second->ready) return it->second->value;
   return std::nullopt;
 }
 
 MemoCache::Stats MemoCache::stats() const {
-  Stats st;
-  st.hits = hits_.load(std::memory_order_relaxed);
-  st.misses = misses_.load(std::memory_order_relaxed);
-  st.evictions = evictions_.load(std::memory_order_relaxed);
-  st.bypasses = bypasses_.load(std::memory_order_relaxed);
-  st.capacity = shard_capacity_ * shards_.size();
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    st.entries += s.live;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats st = tally_;
+  st.entries = entries_.size();
+  st.capacity = capacity_;
   return st;
 }
 

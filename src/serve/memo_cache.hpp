@@ -1,62 +1,56 @@
-// Sharded single-flight memo-cache for the serve layer.
+// Single-flight memo-cache for the serve layer.
 //
 // Maps request cache keys (canonical certificates plus endpoint
 // parameters — see serve/protocol.cpp for how keys are built so that
 // sharing results across clients is sound) to serialised result blobs.
-// Layout: open addressing — power-of-two slot arrays, avalanche-mixed
-// (util/hash_mix.hpp) triangular probing — with slots under a
-// per-shard mutex: eviction and single-flight waiting need states a
-// lock-free slot cannot round-trip cheaply, and the variable-length
-// blobs make copies under contention more expensive than the lock.
+// Layout: one mutex over a std::unordered_map that indexes a std::list
+// of entries kept in admission order. The lock covers one lookup or one
+// list splice; `compute` always runs outside it. The server admits at
+// most `--threads` requests at once (serve/server.hpp), so a single lock
+// is all the contention there is to serve.
 //
 // Semantics:
 //
-//  - *Single flight*: the first requester of an absent key claims a
-//    kComputing slot and runs `compute` outside the lock; concurrent
-//    requesters of the same key block on the shard's condition variable
-//    and share the published blob. A waiter counts as a *hit* — so
-//    given capacity >= distinct keys, hits == total - distinct at any
-//    thread count, which is what lets the serve endpoints export
-//    hit/miss tallies as deterministic work counters.
+//  - *Single flight*: the first requester of an absent key admits an
+//    in-flight entry and runs `compute` outside the lock; concurrent
+//    requesters of the same key block on the condition variable and
+//    share the published blob. A waiter counts as a *hit* — so given
+//    capacity >= distinct keys, hits == total - distinct at any thread
+//    count, which is what lets the serve endpoints export hit/miss
+//    tallies as deterministic work counters.
 //
-//  - *Capacity-bounded second-chance eviction*: each shard caps its
-//    live (kReady + kComputing) entries; inserting past the cap sweeps
-//    a clock hand over the slots, clearing `referenced` on the first
-//    pass and evicting the first unreferenced kReady entry on the
-//    second. kComputing entries are never evicted (a waiter holds a
-//    reference to the key). Evicted slots become kTombstone so probe
-//    chains stay intact; when tombstones crowd the table the shard
-//    rehashes in place (kReady/kComputing survive, tombstones drop).
+//  - *Capacity-bounded second-chance eviction*: admitting past the cap
+//    walks the list from its oldest end. A referenced entry has its bit
+//    cleared and moves to the young end; the first unreferenced
+//    published entry is evicted. In-flight entries are never evicted (a
+//    waiter holds a reference to the key).
 //
-//  - *Bypass*: if every live entry of a full shard is kComputing there
-//    is nothing to evict; the request computes without caching (counted
-//    as a miss plus a `bypasses` tally) rather than blocking on cache
+//  - *Bypass*: if every entry of a full cache is in flight there is
+//    nothing to evict; the request computes without caching (counted as
+//    a miss plus a `bypasses` tally) rather than blocking on cache
 //    admission.
 //
-//  - Exceptions from `compute` revert the claimed slot to kTombstone,
-//    wake the waiters (who then race to claim the key themselves) and
-//    propagate — a failed computation is never cached.
+//  - Exceptions from `compute` remove the in-flight entry, wake the
+//    waiters (who then race to admit the key themselves) and propagate —
+//    a failed computation is never cached.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
-
-#include "util/hash_mix.hpp"
+#include <string_view>
+#include <unordered_map>
 
 namespace wm::serve {
 
 class MemoCache {
  public:
-  /// `capacity` bounds live entries across all shards (>= 1 enforced);
-  /// `shards` 0 picks 8. Tests pass shards = 1 for deterministic
-  /// eviction-order goldens.
-  explicit MemoCache(std::size_t capacity, int shards = 0);
+  /// `capacity` bounds live entries (>= 1 enforced).
+  explicit MemoCache(std::size_t capacity);
 
   MemoCache(const MemoCache&) = delete;
   MemoCache& operator=(const MemoCache&) = delete;
@@ -68,11 +62,11 @@ class MemoCache {
 
   /// Returns the blob for `key`, running `compute` exactly once per
   /// cached lifetime of the key (see single-flight above). `compute`
-  /// runs outside all cache locks.
+  /// runs outside the cache lock.
   Result get_or_compute(const std::string& key,
                         const std::function<std::string()>& compute);
 
-  /// The blob if currently cached (kReady); does not wait, does not
+  /// The blob if currently cached (published); does not wait, does not
   /// count as a hit, does not set the reference bit. Test hook.
   std::optional<std::string> peek(const std::string& key) const;
 
@@ -81,54 +75,31 @@ class MemoCache {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t bypasses = 0;
-    std::size_t entries = 0;  // live (kReady + kComputing) right now
+    std::size_t entries = 0;  // live (published + in flight) right now
     std::size_t capacity = 0;
   };
   Stats stats() const;
 
  private:
-  enum class State : std::uint8_t { kEmpty, kTombstone, kComputing, kReady };
-
-  struct Slot {
-    State state = State::kEmpty;
-    bool referenced = false;
-    std::uint64_t hash = 0;
+  struct Entry {
     std::string key;
     std::string value;
+    bool ready = false;  // false while its compute runs
+    bool referenced = false;
   };
+  using Entries = std::list<Entry>;
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Slot> slots;
-    std::size_t live = 0;       // kComputing + kReady
-    std::size_t occupied = 0;   // live + tombstones
-    std::size_t clock = 0;      // second-chance hand
-  };
+  /// Second-chance walk from the oldest end; true if a published entry
+  /// was evicted. Caller holds mu_.
+  bool evict_one();
 
-  static std::uint64_t key_hash(const std::string& key);
-  Shard& shard_for(std::uint64_t hash);
-  const Shard& shard_for(std::uint64_t hash) const;
-
-  /// Probe for `key`; returns the slot index holding it, or the index of
-  /// the insertion candidate (first tombstone on the chain, else the
-  /// terminating empty) with `found` false. Caller holds the shard lock.
-  std::size_t probe(const Shard& s, std::uint64_t hash,
-                    const std::string& key, bool& found) const;
-
-  /// Second-chance clock sweep; true if a kReady entry was evicted.
-  bool evict_one(Shard& s);
-
-  /// Rebuilds the shard's table dropping tombstones. Slot indices move;
-  /// everyone re-probes by key after re-acquiring the lock.
-  void rehash(Shard& s);
-
-  std::size_t shard_capacity_;  // live-entry cap per shard
-  std::vector<Shard> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> bypasses_{0};
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  std::condition_variable published_;
+  Entries entries_;  // admission order, oldest first
+  // Keys view the entries' own key strings: list nodes never move.
+  std::unordered_map<std::string_view, Entries::iterator> index_;
+  Stats tally_;  // hits/misses/evictions/bypasses; guarded by mu_
 };
 
 }  // namespace wm::serve

@@ -101,7 +101,8 @@ std::string metrics_exposition(const MemoCache::Stats& cache_stats,
          "counter");
   sample_u(out, "serve_cache_evictions_total", "", cache_stats.evictions);
   family(out, "serve_cache_bypasses_total",
-         "Memo-cache bypasses (oversized results).", "counter");
+         "Memo-cache bypasses (cache full, every entry in flight).",
+         "counter");
   sample_u(out, "serve_cache_bypasses_total", "", cache_stats.bypasses);
 
   // --- Request latency histograms -------------------------------------------

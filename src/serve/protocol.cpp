@@ -326,6 +326,8 @@ std::string ok_reply(const std::string& op, const std::string& id_echo,
   return out;
 }
 
+}  // namespace
+
 std::string error_reply(const std::string& op, const std::string& id_echo,
                         const std::string& code, const std::string& message) {
   bump_info("serve.errors");
@@ -347,6 +349,8 @@ std::string error_reply(const std::string& op, const std::string& id_echo,
   out += "}}";
   return out;
 }
+
+namespace {
 
 // --- Request parsing --------------------------------------------------------
 
@@ -721,7 +725,7 @@ std::string handle_metrics(const MemoCache& cache, const ServiceConfig& cfg) {
 }  // namespace
 
 Service::Service(const ServiceConfig& cfg)
-    : cfg_(cfg), cache_(cfg.cache_capacity, cfg.cache_shards) {}
+    : cfg_(cfg), cache_(cfg.cache_capacity) {}
 
 std::string Service::handle_line(std::string_view line) {
   WM_TIME_SCOPE("serve.request");

@@ -14,10 +14,12 @@
 //
 // Error codes: parse_error, oversized, bad_request, unknown_op,
 // unknown_problem, unknown_machine, bad_formula, unsupported, deadline,
-// internal. Malformed input of any shape gets a structured error reply,
-// never a crash or a dropped connection (the transport closes only when
-// a line exceeds the size bound with no newline in sight — there is no
-// way to resynchronise a stream without line boundaries).
+// internal, busy. Malformed input of any shape gets a structured error
+// reply, never a crash or a dropped connection. The transport closes a
+// connection only when a line exceeds the size bound with no newline in
+// sight (there is no way to resynchronise a stream without line
+// boundaries), and it answers a connection past its cap with one `busy`
+// line before closing it (serve/server.hpp).
 //
 // Endpoints (field details in README.md "Serving"):
 //
@@ -107,26 +109,30 @@ struct Request {
 // --- The service ------------------------------------------------------------
 
 struct ServiceConfig {
-  /// Memo-cache bound on live entries (across all shards).
+  /// Memo-cache bound on live entries.
   std::size_t cache_capacity = 4096;
-  /// 0 = MemoCache's default; tests pass 1 for deterministic eviction.
-  int cache_shards = 0;
   /// Hard bound on one request line (bytes, newline excluded).
   std::size_t max_request_bytes = 1 << 20;
   /// Applied when a request carries no timeout_ms of its own; 0 = none.
   int default_timeout_ms = 0;
-  /// Executor count reported by the stats endpoint's manifest.
+  /// Requests a Server runs at once (its permits; the default runs one
+  /// at a time). Also reported by the stats endpoint's manifest.
   int threads = 1;
   /// Lookback of the stats "window" section and the wm_window_* metric
   /// families (actual span depends on available window captures).
   double window_secs = 60.0;
 };
 
+/// One error reply line (newline excluded) in the envelope above. An
+/// empty `op` renders as null; an empty `id_echo` omits the id.
+std::string error_reply(const std::string& op, const std::string& id_echo,
+                        const std::string& code, const std::string& message);
+
 /// The transport-independent core of wm_serve: one request line in, one
 /// reply line out (newline excluded both ways). Thread-safe — the
 /// memo-cache synchronises internally and every library call underneath
-/// is a pure observer, so connection handlers and pool workers may call
-/// handle_line concurrently.
+/// is a pure observer, so connection threads may call handle_line
+/// concurrently.
 class Service {
  public:
   explicit Service(const ServiceConfig& cfg = {});

@@ -7,15 +7,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <future>
 #include <stdexcept>
 #include <string>
 
 #include "obs/counters.hpp"
 #include "obs/log.hpp"
-#include "util/parallel.hpp"
 
 namespace wm::serve {
 
@@ -45,7 +44,10 @@ bool send_all(int fd, const char* data, std::size_t len) {
 
 }  // namespace
 
-Server::Server(const ServerConfig& cfg) : cfg_(cfg), service_(cfg.service) {
+Server::Server(const ServerConfig& cfg)
+    : cfg_(cfg),
+      service_(cfg.service),
+      permits_(std::max(1, cfg.service.threads)) {
   if (::pipe(wake_pipe_) != 0) {
     throw std::runtime_error("serve: pipe() failed");
   }
@@ -61,7 +63,7 @@ Server::Server(const ServerConfig& cfg) : cfg_(cfg), service_(cfg.service) {
   addr.sin_port = htons(static_cast<std::uint16_t>(cfg.port));
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
+      ::listen(listen_fd_, kMaxConnections) != 0) {
     const int err = errno;
     close_quiet(listen_fd_);
     throw std::runtime_error(std::string("serve: cannot listen on port ") +
@@ -72,9 +74,6 @@ Server::Server(const ServerConfig& cfg) : cfg_(cfg), service_(cfg.service) {
   socklen_t len = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
-  if (cfg_.service.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(cfg_.service.threads);
-  }
 }
 
 Server::~Server() {
@@ -101,15 +100,9 @@ void Server::request_stop() {
 void Server::wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
   // After the accept loop exits no new connection threads appear, so
-  // draining the vector once is complete.
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  // joining the list once is complete.
+  for (Connection& c : connections_) c.thread.join();
+  connections_.clear();
   sampler_.stop();
 }
 
@@ -129,12 +122,31 @@ void Server::accept_loop() {
     if (obs::log_enabled(obs::LogLevel::kDebug)) {
       obs::LogEvent(obs::LogLevel::kDebug, "connection_open").num("fd", fd);
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
+    // Join finished connection threads first, so only live connections
+    // count against the cap and no exited thread keeps its stack.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
     }
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    if (connections_.size() >= static_cast<std::size_t>(kMaxConnections)) {
+      const std::string busy =
+          error_reply("", "", "busy",
+                      "at the limit of " + std::to_string(kMaxConnections) +
+                          " connections; retry later") +
+          "\n";
+      send_all(fd, busy.data(), busy.size());
+      ::close(fd);
+      continue;
+    }
+    Connection& c = connections_.emplace_back();
+    c.thread = std::thread([this, fd, &c] {
+      connection_loop(fd);
+      c.done.store(true, std::memory_order_release);
+    });
   }
   // Stop accepting immediately; connection threads keep draining.
   ::shutdown(listen_fd_, SHUT_RDWR);
@@ -149,18 +161,9 @@ void Server::connection_loop(int fd) {
   char chunk[4096];
 
   auto answer = [&](std::string_view line) {
-    std::string reply;
-    if (pool_ != nullptr) {
-      // Hand the request to the shared pool so heavy requests from one
-      // client interleave with others'. std::future gives the hand-back.
-      std::packaged_task<std::string()> task(
-          [this, line] { return service_.handle_line(line); });
-      std::future<std::string> done = task.get_future();
-      pool_->submit([&task] { task(); });
-      reply = done.get();
-    } else {
-      reply = service_.handle_line(line);
-    }
+    permits_.acquire();
+    std::string reply = service_.handle_line(line);
+    permits_.release();
     reply += '\n';
     return send_all(fd, reply.data(), reply.size());
   };
@@ -208,10 +211,7 @@ void Server::connection_loop(int fd) {
     if (buffer.size() > max_line) {
       // No newline within the size bound: reply once and close — there
       // is no way to find the next request boundary in the stream.
-      const std::string reply =
-          service_.handle_line(std::string_view(buffer.data(), buffer.size()));
-      std::string framed = reply + "\n";
-      send_all(fd, framed.data(), framed.size());
+      answer(buffer);
       break;
     }
   }

@@ -7,12 +7,14 @@
 //    self-pipe (the wakeup channel for request_stop, which is the only
 //    async-signal-safe way to interrupt poll from a SIGTERM handler);
 //  - one *connection thread* per accepted socket, reading lines and
-//    answering them. Request execution is either inline on that thread
-//    or submitted to the shared ThreadPool (config.threads > 1) so a
-//    slow classify on one connection cannot starve the others. The
-//    pool is never used with a single executor — ThreadPool tasks do
-//    not run on the submitting thread, so submit-and-wait from the only
-//    executor would deadlock.
+//    answering each on that thread while it holds one of
+//    `service.threads` permits, so at most that many requests run at
+//    once at every setting and a slow classify holds one permit, not a
+//    connection's neighbours.
+//
+// The accept thread joins finished connection threads before it admits
+// the next connection. Past kMaxConnections live connections it answers
+// a new one with a single `busy` error line and closes it.
 //
 // Shutdown ("drain"): request_stop() closes the listen socket (no new
 // connections), then each connection thread finishes the requests whose
@@ -24,17 +26,12 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
-#include <mutex>
+#include <list>
+#include <semaphore>
 #include <thread>
-#include <vector>
 
 #include "obs/window.hpp"
 #include "serve/protocol.hpp"
-
-namespace wm {
-class ThreadPool;
-}  // namespace wm
 
 namespace wm::serve {
 
@@ -46,6 +43,10 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Live connections past which a new one gets `busy`; also the listen
+  /// backlog.
+  static constexpr int kMaxConnections = 64;
+
   /// Binds and listens; throws std::runtime_error on bind failure.
   explicit Server(const ServerConfig& cfg);
   ~Server();
@@ -72,6 +73,11 @@ class Server {
   void wait();
 
  private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};  // set as the thread's last act
+  };
+
   void accept_loop();
   void connection_loop(int fd);
 
@@ -81,13 +87,14 @@ class Server {
   int wake_pipe_[2] = {-1, -1};
   int port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::unique_ptr<ThreadPool> pool_;  // nullptr when service.threads <= 1
+  std::counting_semaphore<> permits_;  // service.threads request slots
   // 1 Hz window captures while the daemon runs, so stats/metrics always
   // have a fresh baseline to difference against (obs/window.hpp).
   obs::WindowSampler sampler_;
   std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;  // guarded by conn_mu_
+  // Owned by the accept thread until wait() has joined it; list nodes
+  // stay put, so each thread may hold a reference to its own entry.
+  std::list<Connection> connections_;
 };
 
 }  // namespace wm::serve

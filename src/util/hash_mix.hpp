@@ -1,11 +1,11 @@
-// Hash finalisation for hand-rolled hash tables.
+// Hash finalisation: an avalanche mixer for combining and spreading
+// hash bits.
 //
 // std::hash on integer keys is the identity on every mainstream standard
-// library, so any table that derives a slot index from the raw hash with
-// a modulo sees sequential keys hammer adjacent buckets. The serve memo
-// cache (serve/memo_cache.hpp) therefore finalises the raw hash with an
-// avalanche mixer before using any of its bits for shard or slot
-// placement; bisimulation signature hashing mixes with it too.
+// library, so a hash folded from raw integers keeps their structure:
+// sequential keys land in adjacent buckets. Bisimulation signature
+// hashing (bisim/bisimulation.cpp) mixes each element in with it, and
+// bench_dedup draws its spread keys from it.
 #pragma once
 
 #include <cstdint>

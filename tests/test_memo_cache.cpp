@@ -1,7 +1,7 @@
 // The serve memo-cache's contract, pinned:
 //
-//  - capacity boundary and second-chance eviction order (shards = 1 so
-//    the clock hand is deterministic),
+//  - capacity boundary and second-chance eviction order (the walk
+//    starts at the oldest admission, so the victims are pinned),
 //  - hit/miss/eviction/bypass counter goldens for fixed sequences,
 //  - single-flight: concurrent requesters of one key run compute once,
 //  - a concurrent differential against a mutexed std::unordered_map
@@ -26,7 +26,7 @@ namespace {
 std::string value_for(const std::string& key) { return "v(" + key + ")"; }
 
 TEST(MemoCache, MissThenHit) {
-  MemoCache cache(8, /*shards=*/1);
+  MemoCache cache(8);
   int computes = 0;
   auto compute = [&] {
     ++computes;
@@ -49,7 +49,7 @@ TEST(MemoCache, MissThenHit) {
 }
 
 TEST(MemoCache, CapacityBoundary) {
-  MemoCache cache(2, /*shards=*/1);
+  MemoCache cache(2);
   cache.get_or_compute("a", [] { return std::string("A"); });
   cache.get_or_compute("b", [] { return std::string("B"); });
   EXPECT_EQ(cache.stats().entries, 2u);
@@ -62,20 +62,21 @@ TEST(MemoCache, CapacityBoundary) {
 }
 
 TEST(MemoCache, SecondChanceSparesTheReferenced) {
-  MemoCache cache(2, /*shards=*/1);
+  MemoCache cache(2);
   cache.get_or_compute("a", [] { return std::string("A"); });
   cache.get_or_compute("b", [] { return std::string("B"); });
-  // Admitting "c" sweeps the clock: both insertion reference bits are
-  // cleared on the first pass and one of a/b is evicted; "c" publishes
-  // with its bit set. State now: survivor unreferenced, "c" referenced.
+  // Admitting "c" walks from the oldest end: both publish-time reference
+  // bits are cleared on the first lap, so the oldest, "a", is evicted;
+  // "c" publishes with its bit set. State now: "b" unreferenced, "c"
+  // referenced.
   cache.get_or_compute("c", [] { return std::string("C"); });
   ASSERT_TRUE(cache.peek("c").has_value());  // peek sets no bits
-  const std::string survivor = cache.peek("a").has_value() ? "a" : "b";
-  // Admitting "d" must therefore evict the unreferenced survivor and
-  // spare the referenced "c" — regardless of where the hand points or
-  // how keys hashed into slots. This is the second-chance protection.
+  EXPECT_FALSE(cache.peek("a").has_value()) << "the oldest entry survived";
+  ASSERT_TRUE(cache.peek("b").has_value());
+  // Admitting "d" must therefore evict the unreferenced "b" and spare
+  // the referenced "c". This is the second-chance protection.
   cache.get_or_compute("d", [] { return std::string("D"); });
-  EXPECT_FALSE(cache.peek(survivor).has_value())
+  EXPECT_FALSE(cache.peek("b").has_value())
       << "unreferenced entry outlived a referenced one";
   EXPECT_TRUE(cache.peek("c").has_value())
       << "second-chance evicted the referenced entry";
@@ -85,7 +86,7 @@ TEST(MemoCache, SecondChanceSparesTheReferenced) {
 }
 
 TEST(MemoCache, EvictedKeyRecomputes) {
-  MemoCache cache(1, /*shards=*/1);
+  MemoCache cache(1);
   int computes_a = 0;
   cache.get_or_compute("a", [&] {
     ++computes_a;
@@ -103,8 +104,8 @@ TEST(MemoCache, EvictedKeyRecomputes) {
 }
 
 TEST(MemoCache, CounterGoldenSequence) {
-  MemoCache cache(2, /*shards=*/1);
-  // miss a, hit a, miss b, hit b, miss c (evicts one of a/b)
+  MemoCache cache(2);
+  // miss a, hit a, miss b, hit b, miss c (evicts the oldest, a)
   cache.get_or_compute("a", [] { return std::string("A"); });
   cache.get_or_compute("a", [] { return std::string("A"); });
   cache.get_or_compute("b", [] { return std::string("B"); });
@@ -116,10 +117,13 @@ TEST(MemoCache, CounterGoldenSequence) {
   EXPECT_EQ(st.evictions, 1u);
   EXPECT_EQ(st.entries, 2u);
   EXPECT_EQ(st.capacity, 2u);
+  EXPECT_FALSE(cache.peek("a").has_value());
+  EXPECT_TRUE(cache.peek("b").has_value());
+  EXPECT_TRUE(cache.peek("c").has_value());
 }
 
 TEST(MemoCache, FailedComputeIsNotCached) {
-  MemoCache cache(8, /*shards=*/1);
+  MemoCache cache(8);
   EXPECT_THROW(cache.get_or_compute(
                    "k", []() -> std::string { throw std::runtime_error("x"); }),
                std::runtime_error);
@@ -131,8 +135,10 @@ TEST(MemoCache, FailedComputeIsNotCached) {
   EXPECT_TRUE(cache.peek("k").has_value());
 }
 
+// The name predates the single-lock cache, which has no shards; it is
+// kept so the test id stays stable.
 TEST(MemoCache, ManyKeysAcrossDefaultShards) {
-  MemoCache cache(1024);  // default shard count
+  MemoCache cache(1024);
   for (int i = 0; i < 512; ++i) {
     const std::string key = "key-" + std::to_string(i);
     const auto r = cache.get_or_compute(key, [&] { return value_for(key); });
@@ -179,7 +185,7 @@ TEST(MemoCacheParallel, SingleFlightComputesOnce) {
 }
 
 TEST(MemoCacheParallel, BypassWhenFullOfInFlight) {
-  MemoCache cache(1, /*shards=*/1);
+  MemoCache cache(1);
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
@@ -192,7 +198,7 @@ TEST(MemoCacheParallel, BypassWhenFullOfInFlight) {
       return std::string("slow");
     });
   });
-  // Wait until the blocker's kComputing slot is claimed.
+  // Wait until the blocker's in-flight entry is admitted.
   while (cache.stats().entries == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -222,7 +228,7 @@ TEST(MemoCacheParallel, DifferentialAgainstReferenceMap) {
   constexpr int kThreads = 8;
   constexpr int kKeys = 64;
   constexpr int kOpsPerThread = 2000;
-  MemoCache cache(16, /*shards=*/4);  // heavy eviction pressure
+  MemoCache cache(16);  // heavy eviction pressure
 
   std::unordered_map<std::string, std::string> reference;
   for (int k = 0; k < kKeys; ++k) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <type_traits>
 
+#include "logic/kripke.hpp"
+#include "logic/model_checker.hpp"
 #include "logic/random_formula.hpp"
 #include "util/rng.hpp"
 
@@ -46,6 +49,68 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse_formula("q1 q2"), ParseError);
   EXPECT_THROW(parse_formula("<1> q1"), ParseError);
   EXPECT_THROW(parse_formula("&"), ParseError);
+}
+
+// `q1 <op> q1 <op> ... q1`: flat text whose tree is left-deep, one level
+// per link.
+std::string chain_of(int operands, char op) {
+  std::string text = "q1";
+  text.reserve(3 * static_cast<std::size_t>(operands));
+  for (int i = 1; i < operands; ++i) {
+    text += op;
+    text += "q1";
+  }
+  return text;
+}
+
+// Each of these overflowed the stack, in the parser or in a walk over
+// the tree it built, before the height bound existed.
+TEST(ParserBound, HostileNestingIsRefused) {
+  EXPECT_THROW(parse_formula(std::string(200000, '~') + "T"), ParseError);
+  EXPECT_THROW(parse_formula(chain_of(66000, '&')), ParseError);
+  EXPECT_THROW(parse_formula(chain_of(66000, '|')), ParseError);
+  EXPECT_THROW(parse_formula(std::string(100000, '(') + "T"), ParseError);
+}
+
+TEST(ParserBound, BoundIsExact) {
+  const std::string negations = std::string(kMaxFormulaHeight, '~') + "q1";
+  const std::string parens = std::string(kMaxFormulaHeight, '(') + "q1" +
+                             std::string(kMaxFormulaHeight, ')');
+  EXPECT_NO_THROW(parse_formula(negations));
+  EXPECT_NO_THROW(parse_formula(chain_of(kMaxFormulaHeight + 1, '&')));
+  EXPECT_NO_THROW(parse_formula(parens));
+  EXPECT_THROW(parse_formula("~" + negations), ParseError);
+  EXPECT_THROW(parse_formula(chain_of(kMaxFormulaHeight + 2, '|')), ParseError);
+  EXPECT_THROW(parse_formula("(" + parens + ")"), ParseError);
+  // A printed formula measures at most its height + 1: to_string
+  // parenthesises each link.
+  const Formula below = parse_formula(chain_of(kMaxFormulaHeight, '&'));
+  EXPECT_EQ(parse_formula(below.to_string()), below);
+}
+
+// Formulas exactly at the bound go through every recursive walk a
+// served modelcheck makes, and through destruction, on the test
+// thread's stack.
+TEST(ParserBound, FormulasAtTheBoundSurviveEveryWalk) {
+  KripkeModel k(2, 1);
+  k.add_edge({0, 0}, 0, 1);
+  k.set_prop(1, 0);
+  const std::string texts[] = {
+      std::string(kMaxFormulaHeight, '~') + "q1",  // an even count: q1
+      chain_of(kMaxFormulaHeight + 1, '&'),
+      chain_of(kMaxFormulaHeight + 1, '|'),
+      std::string(kMaxFormulaHeight / 2, '~') +
+          std::string(kMaxFormulaHeight / 2, '(') + "q1" +
+          std::string(kMaxFormulaHeight / 2, ')'),
+  };
+  for (const std::string& text : texts) {
+    const Formula f = parse_formula(text);
+    EXPECT_EQ(f.max_prop(), 1);
+    EXPECT_FALSE(f.to_string().empty());
+    const Bitset bits = model_check_bits(k, f);
+    EXPECT_TRUE(bits.test(0));
+    EXPECT_FALSE(bits.test(1));
+  }
 }
 
 // gtest prints a parameter that has no PrintTo as a dump of its bytes,

@@ -600,13 +600,13 @@ TEST(ServeMetrics, ExpositionGoldenAtOneShard) {
   GTEST_SKIP() << "observability compiled out";
 #else
   // Counters and histograms are process-global; reset both so the
-  // serve_* families below are byte-pinnable. shards=1 and a
-  // single-threaded request sequence make every tally closed-form.
+  // serve_* families below are byte-pinnable. A single-threaded request
+  // sequence makes every tally closed-form. (The name predates the
+  // single-lock cache, which has no shards; it is kept so the test id
+  // stays stable.)
   obs::registry().reset();
   obs::histograms().reset();
-  ServiceConfig cfg;
-  cfg.cache_shards = 1;
-  Service service(cfg);
+  Service service;
 
   const std::string req_a =
       R"({"op": "run", "machine": "degree-parity", )"

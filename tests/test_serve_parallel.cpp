@@ -11,6 +11,10 @@
 //    overlapping keys must never cross-serve blobs between keys.
 //  - *Drain*: a request whose bytes arrived before request_stop() gets
 //    its reply before the connection closes; wait() then terminates.
+//  - *Hostile clients*: a 200 KB formula line gets `bad_formula` and the
+//    connection goes on answering; hundreds of sequential connections
+//    leave the daemon's address space flat; the connection past the cap
+//    gets one `busy` line and EOF while the others keep being served.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,6 +24,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,7 +110,6 @@ TEST(ServeParallel, EvictionNeverServesStaleBytes) {
   // pattern immediately.
   ServiceConfig cfg;
   cfg.cache_capacity = 3;
-  cfg.cache_shards = 1;
   Service service(cfg);
   constexpr int kClients = 8;
   constexpr int kDistinct = 9;  // 3x the capacity
@@ -237,6 +241,8 @@ TEST(ServeParallel, DrainStopsAcceptingNewConnections) {
   }
 }
 
+// The name predates permits, when --threads > 1 meant a pool; it is kept
+// so the test id stays stable.
 TEST(ServeParallel, PooledServerAnswersManyConnections) {
   ServerConfig cfg;
   cfg.port = 0;
@@ -274,6 +280,128 @@ TEST(ServeParallel, PooledServerAnswersManyConnections) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(bad.load(), 0);
+  server.request_stop();
+  server.wait();
+}
+
+// --- Hostile clients --------------------------------------------------------
+
+bool send_line(int fd, const std::string& line) {
+  const std::string framed = line + "\n";
+  return ::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(framed.size());
+}
+
+/// The error code of a reply line, "" for a success or a non-reply.
+std::string error_code(const std::string& reply) {
+  if (reply.empty()) return "";
+  const Json j = parse_json(reply);
+  const Json* error = j.find("error");
+  return error == nullptr ? "" : error->find("code")->as_string();
+}
+
+bool answers_stats(int fd) {
+  if (!send_line(fd, R"({"op": "stats"})")) return false;
+  const std::string reply = read_line(fd);
+  return !reply.empty() && parse_json(reply).find("ok")->as_bool();
+}
+
+TEST(ServeParallel, DeepFormulaLineGetsBadFormulaAndTheConnectionLives) {
+  ServerConfig cfg;
+  Server server(cfg);
+  server.start();
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  // 200,000 negations: a 200 KB line, far inside the 1 MiB line bound,
+  // that overflowed the parser's stack and killed the daemon.
+  ASSERT_TRUE(send_line(
+      fd, R"({"op": "modelcheck", "formula": ")" + std::string(200000, '~') +
+              R"(T", "model": {"graph": {"n": 2, "edges": [[0, 1]]}, )"
+              R"("variant": "--"}})"));
+  EXPECT_EQ(error_code(read_line(fd)), "bad_formula");
+  EXPECT_TRUE(answers_stats(fd));
+  ::close(fd);
+  server.request_stop();
+  server.wait();
+}
+
+/// VmSize of this process in KiB, 0 if unreadable.
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string field;
+  long kib = 0;
+  while (status >> field) {
+    if (field == "VmSize:") {
+      status >> kib;
+      break;
+    }
+  }
+  return kib;
+}
+
+// Each exited connection thread used to stay unjoined until shutdown,
+// holding its stack mapping: ~8 MiB of address space per connection.
+TEST(ServeParallel, SequentialConnectionsKeepAddressSpaceFlat) {
+  ServerConfig cfg;
+  Server server(cfg);
+  server.start();
+  auto connections = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const int fd = connect_loopback(server.port());
+      ASSERT_GE(fd, 0);
+      EXPECT_TRUE(answers_stats(fd));
+      ::close(fd);
+    }
+  };
+  connections(300);  // warm-up: allocator arenas and stack caches settle
+  const long before = vm_size_kib();
+  connections(300);
+  const long after = vm_size_kib();
+  ASSERT_GT(before, 0) << "no VmSize in /proc/self/status";
+  EXPECT_LT(after - before, 64 * 1024)
+      << "VmSize grew from " << before << " to " << after
+      << " KiB over 300 sequential connections";
+  server.request_stop();
+  server.wait();
+}
+
+TEST(ServeParallel, ConnectionPastTheCapGetsBusy) {
+  ServerConfig cfg;
+  Server server(cfg);
+  server.start();
+  std::vector<int> held;
+  for (int i = 0; i < Server::kMaxConnections; ++i) {
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    held.push_back(fd);
+  }
+  // Connections are accepted in arrival order, so all of `held` are
+  // live by the time the server reaches this one.
+  const int extra = connect_loopback(server.port());
+  ASSERT_GE(extra, 0);
+  // A missing reply then fails the test instead of hanging it.
+  const timeval patience{10, 0};
+  ::setsockopt(extra, SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof(patience));
+  const std::string reply = read_line(extra);
+  EXPECT_EQ(error_code(reply), "busy") << reply;
+  EXPECT_TRUE(parse_json(reply).find("op")->is_null());
+  char byte = 0;
+  EXPECT_EQ(::recv(extra, &byte, 1, 0), 0) << "busy connection left open";
+  ::close(extra);
+  EXPECT_TRUE(answers_stats(held.front()));
+  for (const int fd : held) ::close(fd);
+  // Finished threads are joined when the next connection arrives; one
+  // arriving before the closed connections' threads exit still sees
+  // `busy`, so retry for a while, one connection at a time.
+  bool served = false;
+  for (int attempt = 0; attempt < 200 && !served; ++attempt) {
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    served = answers_stats(fd);
+    ::close(fd);
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served) << "no connection served after the others closed";
   server.request_stop();
   server.wait();
 }

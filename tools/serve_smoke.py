@@ -3,8 +3,15 @@
 
 Starts the daemon on an ephemeral port, sends one request per endpoint
 plus a malformed line, checks the replies, scrapes the metrics endpoint
-(grammar + exact request-count reconciliation), then SIGTERMs and
-verifies the drain exits cleanly within the deadline.
+(grammar + exact request-count reconciliation), probes it as a hostile
+client would, then SIGTERMs and verifies the drain exits cleanly within
+the deadline. The hostile probes:
+
+  - a 200 KB line of nested negations and a 66,000-conjunct chain each
+    answer bad_formula, and the connection then answers stats;
+  - 600 sequential connections leave the daemon's VmSize within 64 MiB
+    between connection 300 and connection 600;
+  - with MAX_CONNECTIONS open, one more gets a single busy line and EOF.
 
 usage: serve_smoke.py path/to/wm_serve
 """
@@ -17,6 +24,7 @@ import sys
 import time
 
 DEADLINE = 10.0
+MAX_CONNECTIONS = 64  # serve::Server::kMaxConnections
 
 
 def fail(msg):
@@ -53,7 +61,7 @@ def main():
             f.flush()
             reply = f.readline()
             if not reply:
-                fail("connection closed answering %r" % text)
+                fail("connection closed answering %r" % text[:200])
             return json.loads(reply)
 
         g = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
@@ -125,7 +133,58 @@ def main():
         if requests_total != 6:
             fail("serve_requests_total sums to %d, want 6" % requests_total)
 
+        # Hostile formulas: each once overflowed the daemon's stack.
+        model = {"graph": g, "variant": "--"}
+        for name, formula in (
+            ("200 KB of negations", "~" * 200000 + "T"),
+            ("66,000-conjunct chain", "&".join(["q1"] * 66000)),
+        ):
+            r = ask({"op": "modelcheck", "formula": formula, "model": model})
+            if r["ok"] or r["error"]["code"] != "bad_formula":
+                fail("%s: %r" % (name, r))
+            if not ask({"op": "stats"})["ok"]:
+                fail("connection stopped answering after the %s" % name)
         sock.close()
+
+        def vm_size_kib():
+            with open("/proc/%d/status" % proc.pid) as status:
+                for field in status:
+                    if field.startswith("VmSize:"):
+                        return int(field.split()[1])
+            fail("no VmSize for the daemon")
+
+        def one_connection():
+            c = socket.create_connection(("127.0.0.1", port), timeout=5)
+            c.sendall(b'{"op": "stats"}\n')
+            reply = c.makefile("rb").readline()
+            c.close()
+            if not reply or not json.loads(reply)["ok"]:
+                fail("a sequential connection got no stats reply")
+
+        for _ in range(300):
+            one_connection()
+        vm300 = vm_size_kib()
+        for _ in range(300):
+            one_connection()
+        vm600 = vm_size_kib()
+        if vm600 - vm300 > 64 * 1024:
+            fail("VmSize grew from %d to %d KiB between connections 300 "
+                 "and 600" % (vm300, vm600))
+
+        held = [socket.create_connection(("127.0.0.1", port), timeout=5)
+                for _ in range(MAX_CONNECTIONS)]
+        extra = socket.create_connection(("127.0.0.1", port), timeout=2)
+        try:
+            lines = extra.makefile("rb").readlines()
+        except socket.timeout:
+            fail("connection %d got no busy reply" % (MAX_CONNECTIONS + 1))
+        if (len(lines) != 1 or
+                json.loads(lines[0])["error"]["code"] != "busy"):
+            fail("connection %d: want one busy line, got %r"
+                 % (MAX_CONNECTIONS + 1, lines))
+        for c in held + [extra]:
+            c.close()
+
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=max(0.1, DEADLINE - (time.monotonic() - start)))
         if rc != 0:

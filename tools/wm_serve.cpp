@@ -7,6 +7,10 @@
 //   wm_serve [--port P] [--threads N] [--cache-capacity C]
 //            [--timeout-ms T] [--window-secs S] [--print-port]
 //
+// --threads N bounds the requests that run at once (default 1); each
+// connection has its own thread, up to 64 connections (the 65th gets a
+// `busy` reply, serve/server.hpp).
+//
 // Observability: WM_LOG=<file|stderr> arms one structured access-log
 // line per request (WM_SLOW_MS adds slow-request warnings), the
 // `metrics` endpoint serves Prometheus text exposition for tools/wm_top
