@@ -1,15 +1,17 @@
 #include "bisim/bisimulation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "util/bitset.hpp"
 #include "util/hash_mix.hpp"
 
 namespace wm {
@@ -59,58 +61,27 @@ Partition valuation_partition(const KripkeModel& k) {
 
 namespace {
 
-// --- Hopcroft-style worklist path -----------------------------------------
+// --- Round-synchronous worklist refinement -------------------------------
 //
-// Round-synchronous signature refinement — each round splits every block
-// by its states' per-modality successor-block (multi)sets against the
-// start-of-round partition — computed incrementally. Block ids
-// are *stable*: when a block splits, the largest sub-block keeps the
-// parent id and only the smaller halves get fresh ids. A state's
-// signature (multiset of successor block ids) can therefore change
-// between rounds only if some successor moved into a fresh block — so
-// the next round needs to re-examine exactly the predecessors of the
-// smaller halves (the dirty set, a Bitset), and states inside an
-// untouched block provably cannot separate. Because every fresh block is
-// at most half its parent, each state is a dirty-trigger O(log n) times:
+// Each round splits every block by its states' per-modality successor-block
+// (multi)sets against the start-of-round partition, computed
+// incrementally. Block ids are *stable*: when a block splits, its largest
+// part keeps the parent id and only the smaller parts get fresh ids. A
+// state's signature can therefore change between rounds only if some
+// successor moved into a fresh block — so the next round re-examines
+// exactly the blocks holding a predecessor of a moved state, and states
+// inside an untouched block provably cannot separate. Because every fresh
+// block is at most half its parent, each state moves O(log n) times:
 // Hopcroft's bound for the propagation work. Rounds and the per-round
 // partitions coincide exactly with a full signature pass per round (the
 // scalar oracle in tests/support/oracles.hpp; the clean-state lemma in
 // DESIGN.md §3), which is what keeps `bisim.refine_rounds` — and
 // bounded-refinement semantics, i.e. modal depth — invariant, and what
 // lets an observer see each round as the reference numbers it.
-
-/// Flattened per-state signature: per modality, the sorted (multi)set of
-/// start-of-round successor block ids, separated by -1.
-struct SigHash {
-  std::size_t operator()(const std::vector<int>& sig) const noexcept {
-    std::uint64_t h = static_cast<std::uint64_t>(sig.size());
-    for (const int x : sig) {
-      h = hash_mix(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)));
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// Compressed-sparse-row predecessor lists of one modality.
-struct PredCsr {
-  std::vector<int> offset;  // n + 1
-  std::vector<int> data;
-
-  static PredCsr build(const std::vector<std::vector<int>>& succ, int n) {
-    PredCsr csr;
-    csr.offset.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (const auto& row : succ) {
-      for (const int w : row) ++csr.offset[w + 1];
-    }
-    for (int v = 0; v < n; ++v) csr.offset[v + 1] += csr.offset[v];
-    csr.data.resize(csr.offset[n]);
-    std::vector<int> cursor(csr.offset.begin(), csr.offset.end() - 1);
-    for (int v = 0; v < n; ++v) {
-      for (const int w : succ[v]) csr.data[cursor[w]++] = v;
-    }
-    return csr;
-  }
-};
+//
+// Everything lives in flat per-call arrays: the edges (EdgeArrays), the
+// blocks as ranges of one element array, and the signatures of the block
+// being split in one reused arena, grouped by an open-addressing table.
 
 /// `block` renumbered by first member, as the reference numbers every
 /// round (its full passes assign ids in state order). Blocks are never
@@ -128,113 +99,224 @@ Partition numbered_by_first_member(const std::vector<int>& block, int rounds) {
   return p;
 }
 
+/// The model's edges, O(n + E) however many relations are registered:
+/// each state's out-edges as (modality index, target) pairs, by modality
+/// then target, and each state's predecessors over all modalities merged
+/// (a state that reaches w twice is listed twice).
+struct EdgeArrays {
+  std::vector<int> out_begin;  // n + 1 offsets into out
+  std::vector<std::pair<int, int>> out;
+  std::vector<int> pred_begin;  // n + 1 offsets into pred
+  std::vector<int> pred;
+
+  explicit EdgeArrays(const KripkeModel& k) {
+    const int n = k.num_states();
+    // One pass over the relation rows lists every edge (from, modality,
+    // to) modality-major and counts it at both ends; a reverse pass
+    // then places each edge below its endpoint's running end, keeping
+    // the listed order within every state.
+    std::vector<std::array<int, 3>> listed;
+    out_begin.assign(static_cast<std::size_t>(n) + 1, 0);
+    pred_begin.assign(static_cast<std::size_t>(n) + 1, 0);
+    int a = 0;
+    for (const Modality& alpha : k.modalities()) {
+      const std::vector<std::vector<int>>& rows = *k.relation(alpha);
+      for (int v = 0; v < n; ++v) {
+        for (const int w : rows[v]) {
+          listed.push_back({v, a, w});
+          ++out_begin[v];
+          ++pred_begin[w];
+        }
+      }
+      ++a;
+    }
+    for (int v = 1; v <= n; ++v) {
+      out_begin[v] += out_begin[v - 1];
+      pred_begin[v] += pred_begin[v - 1];
+    }
+    out.resize(listed.size());
+    pred.resize(listed.size());
+    for (auto e = listed.rbegin(); e != listed.rend(); ++e) {
+      const auto [v, alpha, w] = *e;
+      out[--out_begin[v]] = {alpha, w};
+      pred[--pred_begin[w]] = v;
+    }
+  }
+};
+
+/// Groups the states of one block by signature: the sorted (modality,
+/// start-of-round block) pairs of their out-edges, deduplicated when
+/// ungraded. The signatures sit in one arena reused across blocks; an
+/// open-addressing table finds each one's group, its hash only placing
+/// the probe — equality is decided on the full slice. Groups are
+/// numbered in first-seen order.
+class SignatureGrouper {
+ public:
+  explicit SignatureGrouper(const EdgeArrays& edges) : edges_(edges) {
+    arena_.reserve(edges.out.size());
+    sig_begin_.reserve(edges.out_begin.size());
+  }
+
+  /// Groups `states` by signature against `block`; returns the group
+  /// count. group_of()[i] is the group of states[i], size()[g] the size
+  /// of group g.
+  int group(std::span<const int> states, const std::vector<int>& block,
+            bool graded) {
+    std::size_t slots = 4;
+    while (slots < 2 * states.size()) slots *= 2;
+    const std::size_t mask = slots - 1;
+    table_.assign(slots, -1);
+    arena_.clear();
+    sig_begin_.assign(1, 0);
+    group_of_.clear();
+    size_.clear();
+    rep_.clear();
+    hash_.clear();
+    for (const int v : states) {
+      const auto start = static_cast<std::ptrdiff_t>(arena_.size());
+      for (int i = edges_.out_begin[v]; i < edges_.out_begin[v + 1]; ++i) {
+        const auto [a, w] = edges_.out[i];
+        arena_.push_back(static_cast<std::uint64_t>(a) << 32 |
+                         static_cast<std::uint32_t>(block[w]));
+      }
+      std::sort(arena_.begin() + start, arena_.end());
+      if (!graded) {
+        arena_.erase(std::unique(arena_.begin() + start, arena_.end()),
+                     arena_.end());
+      }
+      sig_begin_.push_back(arena_.size());
+      const std::size_t i = group_of_.size();
+      const std::span<const std::uint64_t> sig = slice(i);
+      std::uint64_t h = sig.size();
+      for (const std::uint64_t x : sig) h = hash_mix(h ^ x);
+      std::size_t slot = static_cast<std::size_t>(h) & mask;
+      int g = table_[slot];
+      while (g >= 0 &&
+             !(hash_[g] == h && std::ranges::equal(slice(rep_[g]), sig))) {
+        slot = (slot + 1) & mask;
+        g = table_[slot];
+      }
+      if (g < 0) {
+        g = static_cast<int>(size_.size());
+        table_[slot] = g;
+        size_.push_back(0);
+        rep_.push_back(i);
+        hash_.push_back(h);
+      }
+      group_of_.push_back(g);
+      ++size_[g];
+    }
+    return static_cast<int>(size_.size());
+  }
+
+  const std::vector<int>& group_of() const { return group_of_; }
+  const std::vector<int>& size() const { return size_; }
+
+ private:
+  std::span<const std::uint64_t> slice(std::size_t i) const {
+    return {arena_.data() + sig_begin_[i], sig_begin_[i + 1] - sig_begin_[i]};
+  }
+
+  const EdgeArrays& edges_;
+  std::vector<std::uint64_t> arena_;  // the block's signatures, back to back
+  std::vector<std::size_t> sig_begin_;
+  std::vector<int> table_;  // slot -> group, -1 when empty
+  std::vector<int> group_of_;
+  std::vector<int> size_;
+  std::vector<std::size_t> rep_;  // first member of each group
+  std::vector<std::uint64_t> hash_;
+};
+
 Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds,
                           const RoundObserver& observe) {
-  const int n = k.num_states();
-  const auto modalities = k.modalities();
-  std::vector<const std::vector<std::vector<int>>*> succ;
-  succ.reserve(modalities.size());
-  for (const Modality& alpha : modalities) succ.push_back(k.relation(alpha));
-
-  const Partition initial = valuation_partition(k);
+  Partition initial = valuation_partition(k);
   if (observe) observe(initial);
-  // Mutable partition state: stable ids, membership lists per block.
-  std::vector<int> block = initial.block;       // id at the current round
-  std::vector<int> block_old = block;           // ids at the round start
-  std::vector<std::vector<int>> members(
-      static_cast<std::size_t>(initial.num_blocks));
-  for (int v = 0; v < n; ++v) members[block[v]].push_back(v);
+  if (max_rounds == 0) return initial;
 
-  std::vector<PredCsr> pred;
-  pred.reserve(succ.size());
-  for (const auto* s : succ) pred.push_back(PredCsr::build(*s, n));
+  const int n = k.num_states();
+  const EdgeArrays edges(k);
+  // Blocks are ranges of `elems`: block b holds elems[lo[b], hi[b]),
+  // initially in state order. `block` keeps every state's
+  // start-of-round id while a round runs.
+  std::vector<int> block = std::move(initial.block);
+  int num_blocks = initial.num_blocks;
+  std::vector<int> lo(static_cast<std::size_t>(num_blocks), 0);
+  for (const int b : block) ++lo[b];
+  for (int b = 0, start = 0; b < num_blocks; ++b) {
+    const int size = lo[b];
+    lo[b] = start;
+    start += size;
+  }
+  std::vector<int> hi = lo;
+  std::vector<int> elems(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) elems[hi[block[v]]++] = v;
 
-  Bitset dirty(static_cast<std::size_t>(n));
-  std::vector<int> touched;
-  std::vector<int> sig;  // scratch, reused across states
-  std::unordered_map<std::vector<int>, int, SigHash> groups;
+  SignatureGrouper grouper(edges);
+  std::vector<int> part_start;  // group -> offset in the rewritten range
+  std::vector<int> scratch;
+  std::vector<int> touched(static_cast<std::size_t>(num_blocks));
+  std::iota(touched.begin(), touched.end(), 0);
+  std::vector<int> touched_round(static_cast<std::size_t>(n), 0);
+  std::vector<int> fresh;  // blocks created this round
   int rounds = 0;
-  bool first = true;
 
-  while (max_rounds < 0 || rounds < max_rounds) {
-    touched.clear();
-    if (first) {
-      touched.resize(members.size());
-      for (std::size_t b = 0; b < members.size(); ++b) {
-        touched[b] = static_cast<int>(b);
-      }
-    } else {
-      // Blocks holding a dirty state, in block-id order.
-      std::vector<char> seen(members.size(), 0);
-      dirty.for_each_set([&](std::size_t v) {
-        const int b = block[v];
-        if (!seen[b]) {
-          seen[b] = 1;
-          touched.push_back(b);
-        }
-      });
-      std::sort(touched.begin(), touched.end());
-    }
-    if (touched.empty()) break;
-
-    std::vector<int> fresh;  // blocks created this round
+  while (!touched.empty() && (max_rounds < 0 || rounds < max_rounds)) {
+    fresh.clear();
     for (const int b : touched) {
-      const std::vector<int>& mem = members[b];
-      if (mem.size() <= 1) continue;
-      // Group members by signature against the start-of-round partition.
-      groups.clear();
-      std::vector<std::vector<int>> parts;  // group index -> members
-      for (const int v : mem) {
-        sig.clear();
-        for (std::size_t a = 0; a < succ.size(); ++a) {
-          const std::size_t start = sig.size();
-          for (const int w : (*succ[a])[v]) sig.push_back(block_old[w]);
-          std::sort(sig.begin() + start, sig.end());
-          if (!graded) {
-            sig.erase(std::unique(sig.begin() + start, sig.end()), sig.end());
-          }
-          sig.push_back(-1);  // modality separator
-        }
-        auto [it, inserted] = groups.try_emplace(sig,
-                                                 static_cast<int>(parts.size()));
-        if (inserted) parts.emplace_back();
-        parts[it->second].push_back(v);
-      }
-      if (parts.size() <= 1) continue;
+      const std::span<int> range(elems.data() + lo[b],
+                                 static_cast<std::size_t>(hi[b] - lo[b]));
+      if (range.size() <= 1) continue;
+      const int groups = grouper.group(range, block, graded);
+      if (groups == 1) continue;
       // The largest part keeps the parent id (first-seen wins ties); the
-      // smaller halves get fresh ids and become next round's splitters.
-      std::size_t keep = 0;
-      for (std::size_t g = 1; g < parts.size(); ++g) {
-        if (parts[g].size() > parts[keep].size()) keep = g;
-      }
-      for (std::size_t g = 0; g < parts.size(); ++g) {
+      // smaller parts get fresh ids and become next round's splitters.
+      const std::vector<int>& size = grouper.size();
+      const int keep = static_cast<int>(
+          std::max_element(size.begin(), size.end()) - size.begin());
+      // Rewrite the range in place, kept part first, the others in group
+      // order, each keeping its states' relative order.
+      part_start.resize(static_cast<std::size_t>(groups));
+      int offset = size[keep];
+      part_start[keep] = 0;
+      for (int g = 0; g < groups; ++g) {
         if (g == keep) continue;
-        const int fresh_id = static_cast<int>(members.size());
-        for (const int v : parts[g]) block[v] = fresh_id;
-        members.push_back(std::move(parts[g]));
-        fresh.push_back(fresh_id);
+        part_start[g] = offset;
+        fresh.push_back(num_blocks++);
+        lo.push_back(lo[b] + offset);
+        offset += size[g];
+        hi.push_back(lo[b] + offset);
       }
-      members[b] = std::move(parts[keep]);
+      scratch.resize(range.size());
+      for (std::size_t i = 0; i < range.size(); ++i) {
+        scratch[part_start[grouper.group_of()[i]]++] = range[i];
+      }
+      std::copy(scratch.begin(), scratch.end(), range.begin());
+      hi[b] = lo[b] + size[keep];
     }
     if (fresh.empty()) break;
     ++rounds;
     WM_COUNT_ADD(bisim.split_smaller, fresh.size());
+    for (const int nb : fresh) {
+      for (int i = lo[nb]; i < hi[nb]; ++i) block[elems[i]] = nb;
+    }
     if (observe) observe(numbered_by_first_member(block, rounds));
 
-    // Next round re-examines exactly the predecessors of the smaller
-    // halves; patch block_old for the relabelled states only.
-    dirty.reset_all();
+    // Next round re-examines exactly the blocks holding a predecessor of
+    // a state that moved, in block-id order.
+    touched.clear();
     for (const int nb : fresh) {
-      for (const int w : members[nb]) {
-        block_old[w] = block[w];
-        for (const auto& csr : pred) {
-          for (int i = csr.offset[w]; i < csr.offset[w + 1]; ++i) {
-            dirty.set(static_cast<std::size_t>(csr.data[i]));
+      for (int i = lo[nb]; i < hi[nb]; ++i) {
+        const int w = elems[i];
+        for (int j = edges.pred_begin[w]; j < edges.pred_begin[w + 1]; ++j) {
+          const int b = block[edges.pred[j]];
+          if (touched_round[b] != rounds) {
+            touched_round[b] = rounds;
+            touched.push_back(b);
           }
         }
       }
     }
-    first = false;
+    std::sort(touched.begin(), touched.end());
   }
 
   return numbered_by_first_member(block, rounds);

@@ -1,5 +1,6 @@
 #include "bisim/quotient.hpp"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -13,10 +14,33 @@
 
 namespace wm {
 
+namespace {
+
+/// The first member of each block: the state whose valuation and (for
+/// the graded quotient) successors speak for the block.
+std::vector<int> first_members(const Partition& p) {
+  std::vector<int> rep(static_cast<std::size_t>(p.num_blocks), -1);
+  for (int v = static_cast<int>(p.block.size()) - 1; v >= 0; --v) {
+    rep[p.block[v]] = v;
+  }
+  return rep;
+}
+
+void copy_valuation(const KripkeModel& k, const std::vector<int>& rep,
+                    KripkeModel& q) {
+  for (int b = 0; b < static_cast<int>(rep.size()); ++b) {
+    if (rep[b] < 0) continue;
+    for (int prop = 1; prop <= k.num_props(); ++prop) {
+      if (k.prop_holds(prop, rep[b])) q.set_prop(prop, b);
+    }
+  }
+}
+
+}  // namespace
+
 KripkeModel quotient_model(const KripkeModel& k, const Partition& p) {
   WM_COUNT(quotient.minimisations);
   KripkeModel q(p.num_blocks, k.num_props());
-  const auto blocks = p.blocks();
   for (const Modality& alpha : k.modalities()) {
     q.ensure_relation(alpha);
     std::set<std::pair<int, int>> added;
@@ -27,13 +51,7 @@ KripkeModel quotient_model(const KripkeModel& k, const Partition& p) {
       }
     }
   }
-  for (int b = 0; b < p.num_blocks; ++b) {
-    if (blocks[b].empty()) continue;
-    const int rep = blocks[b][0];
-    for (int prop = 1; prop <= k.num_props(); ++prop) {
-      if (k.prop_holds(prop, rep)) q.set_prop(prop, b);
-    }
-  }
+  copy_valuation(k, first_members(p), q);
   return q;
 }
 
@@ -44,26 +62,22 @@ KripkeModel minimise(const KripkeModel& k) {
 KripkeModel graded_quotient_model(const KripkeModel& k, const Partition& p) {
   WM_COUNT(quotient.minimisations);
   KripkeModel q(p.num_blocks, k.num_props());
-  const auto blocks = p.blocks();
+  const std::vector<int> rep = first_members(p);
+  // Block b's row is its first member's successors mapped to their
+  // blocks, one edge per successor, added in sorted order.
+  std::vector<int> row;
   for (const Modality& alpha : k.modalities()) {
     q.ensure_relation(alpha);
+    const std::vector<std::vector<int>>& succ = *k.relation(alpha);
     for (int b = 0; b < p.num_blocks; ++b) {
-      if (blocks[b].empty()) continue;
-      const int rep = blocks[b][0];
-      std::vector<int> count(static_cast<std::size_t>(p.num_blocks), 0);
-      for (int w : k.successors(alpha, rep)) ++count[p.block[w]];
-      for (int c = 0; c < p.num_blocks; ++c) {
-        for (int i = 0; i < count[c]; ++i) q.add_edge(alpha, b, c);
-      }
+      if (rep[b] < 0) continue;
+      row.clear();
+      for (const int w : succ[rep[b]]) row.push_back(p.block[w]);
+      std::sort(row.begin(), row.end());
+      for (const int c : row) q.add_edge(alpha, b, c);
     }
   }
-  for (int b = 0; b < p.num_blocks; ++b) {
-    if (blocks[b].empty()) continue;
-    const int rep = blocks[b][0];
-    for (int prop = 1; prop <= k.num_props(); ++prop) {
-      if (k.prop_holds(prop, rep)) q.set_prop(prop, b);
-    }
-  }
+  copy_valuation(k, rep, q);
   return q;
 }
 

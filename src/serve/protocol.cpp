@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,10 @@ constexpr int kMaxStates = 2048;        // explicit Kripke models
 constexpr int kMaxProps = 64;
 constexpr int kMaxPort = 64;            // modality components
 constexpr std::size_t kMaxEdges = 65536;
+// Explicit Kripke models: states x distinct modalities. Each modality
+// registers one successor row per state, and the canonical form keeps
+// two more, so this bounds the memory a request can claim.
+constexpr long long kMaxRelationRows = 1 << 18;
 constexpr int kMaxTimeoutMs = 3600 * 1000;
 
 /// Validation failure -> structured error reply. Not derived from
@@ -209,12 +214,16 @@ KripkeModel parse_kripke(const Json& obj) {
   const int states = static_cast<int>(get_int(mj, "states", -1, 0, kMaxStates));
   if (states < 0) throw RequestError{"bad_request", "missing field \"states\""};
   const int props = static_cast<int>(get_int(mj, "props", 0, 0, kMaxProps));
-  KripkeModel k(states, props);
+  // Every edge is checked, and the model's size bounded, before any of
+  // it is built: each distinct modality registers one row per state.
+  std::vector<std::array<int, 4>> edges;
+  std::set<std::pair<int, int>> modalities;
   if (const Json* ej = mj.find("edges")) {
     if (!ej->is_array() || ej->items().size() > kMaxEdges) {
       throw RequestError{"bad_request",
                          "field \"edges\" must be an array (bounded)"};
     }
+    edges.reserve(ej->items().size());
     for (const Json& e : ej->items()) {
       if (!e.is_array() || e.items().size() != 4 ||
           !std::all_of(e.items().begin(), e.items().end(),
@@ -230,9 +239,22 @@ KripkeModel parse_kripke(const Json& obj) {
           from >= states || to < 0 || to >= states) {
         throw RequestError{"bad_request", "Kripke edge out of range"};
       }
-      k.add_edge(Modality{static_cast<int>(in), static_cast<int>(out)},
-                 static_cast<int>(from), static_cast<int>(to));
+      edges.push_back({static_cast<int>(in), static_cast<int>(out),
+                       static_cast<int>(from), static_cast<int>(to)});
+      modalities.emplace(edges.back()[0], edges.back()[1]);
     }
+  }
+  if (states * static_cast<long long>(modalities.size()) > kMaxRelationRows) {
+    throw RequestError{"bad_request",
+                       "Kripke model too large: " + std::to_string(states) +
+                           " states x " + std::to_string(modalities.size()) +
+                           " modalities exceeds " +
+                           std::to_string(kMaxRelationRows) +
+                           " relation rows"};
+  }
+  KripkeModel k(states, props);
+  for (const auto& [in, out, from, to] : edges) {
+    k.add_edge(Modality{in, out}, from, to);
   }
   if (const Json* vj = mj.find("valuation")) {
     if (!vj->is_array()) {

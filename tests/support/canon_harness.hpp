@@ -146,4 +146,25 @@ inline KripkeModel random_kripke_model(Rng& rng) {
   return kripke_from_graph(p, variants[rng.below(4)]);
 }
 
+/// A seeded multigraph Kripke model: `relations` registered modalities
+/// (1, 1), (1, 2), ..., `edges` edges drawn uniformly (so parallel edges
+/// and self-loops occur), each prop holding with probability 1/2.
+inline KripkeModel random_multigraph_model(Rng& rng, int n, int relations,
+                                           int edges, int props) {
+  KripkeModel k(n, props);
+  for (int a = 1; a <= relations; ++a) k.ensure_relation({1, a});
+  for (int e = 0; n > 0 && relations > 0 && e < edges; ++e) {
+    const int a = 1 + static_cast<int>(rng.below(relations));
+    const int from = static_cast<int>(rng.below(n));
+    const int to = static_cast<int>(rng.below(n));
+    k.add_edge({1, a}, from, to);
+  }
+  for (int q = 1; q <= props; ++q) {
+    for (int v = 0; v < n; ++v) {
+      if (rng.chance(1, 2)) k.set_prop(q, v);
+    }
+  }
+  return k;
+}
+
 }  // namespace wm::canontest

@@ -11,6 +11,10 @@
 //    previous partition. The worklist path (bisim/bisimulation.hpp) must
 //    match it exactly: same block ids, same round count. It stays off
 //    the obs counters so reference runs never perturb gated totals.
+//  - graded_quotient_model_reference: the pre-row graded quotient, one
+//    num_blocks-long count vector per (modality, block) pair. The
+//    shipped graded_quotient_model must build the same model. Off the
+//    obs counters.
 //  - characteristic_layer_reference (+ characteristic_formula_reference,
 //    distinguishing_formula_reference): the pre-observer
 //    distinguishing-formula engine — its own round-synchronous
@@ -172,6 +176,37 @@ inline Partition coarsest_bisimulation_reference(const KripkeModel& k,
 inline Partition coarsest_graded_bisimulation_reference(const KripkeModel& k,
                                                         int max_rounds = -1) {
   return refine_reference_impl(k, /*graded=*/true, max_rounds);
+}
+
+/// The pre-row graded quotient: for every (modality, block) pair a
+/// num_blocks-long count vector is filled from the block's first member
+/// and scanned, O(m·B²) over m modalities and B blocks. The shipped
+/// graded_quotient_model (bisim/quotient.hpp) must build the same model.
+/// Off the obs counters.
+inline KripkeModel graded_quotient_model_reference(const KripkeModel& k,
+                                                   const Partition& p) {
+  KripkeModel q(p.num_blocks, k.num_props());
+  const auto blocks = p.blocks();
+  for (const Modality& alpha : k.modalities()) {
+    q.ensure_relation(alpha);
+    for (int b = 0; b < p.num_blocks; ++b) {
+      if (blocks[b].empty()) continue;
+      const int rep = blocks[b][0];
+      std::vector<int> count(static_cast<std::size_t>(p.num_blocks), 0);
+      for (int w : k.successors(alpha, rep)) ++count[p.block[w]];
+      for (int c = 0; c < p.num_blocks; ++c) {
+        for (int i = 0; i < count[c]; ++i) q.add_edge(alpha, b, c);
+      }
+    }
+  }
+  for (int b = 0; b < p.num_blocks; ++b) {
+    if (blocks[b].empty()) continue;
+    const int rep = blocks[b][0];
+    for (int prop = 1; prop <= k.num_props(); ++prop) {
+      if (k.prop_holds(prop, rep)) q.set_prop(prop, b);
+    }
+  }
+  return q;
 }
 
 // --- Characteristic formulas: the pre-observer layer builder ---------------

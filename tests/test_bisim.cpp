@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "core/classification.hpp"
+#include "graph/enumerate.hpp"
 #include "graph/generators.hpp"
 #include "graph/matching.hpp"
 #include "obs/counters.hpp"
@@ -292,6 +294,167 @@ TEST_P(RefinementDifferential, ObserverSeesEveryReferenceRound) {
         }
       }
     }
+  }
+}
+
+// --- Differential at scale and on edge shapes ------------------------------
+//
+// Every bound t from -1 (the fixpoint) through one past the reference's
+// fixpoint: the engine's partition and round count, and every round its
+// observer sees, equal the reference's. The engine's `bisim.split_smaller`
+// increment is the number of blocks refinement added to the valuation
+// partition.
+
+#ifndef WM_OBS_DISABLED
+std::uint64_t split_smaller_total() {
+  return obs::registry().snapshot(obs::CounterKind::kWork)
+      ["bisim.split_smaller"];
+}
+#endif
+
+void expect_matches_reference(const KripkeModel& k, bool graded,
+                              const std::string& what) {
+  const Partition fix = refine_reference_impl(k, graded, -1);
+  std::vector<Partition> want;  // want[t]: the reference at bound t
+  for (int t = 0; t <= fix.rounds + 1; ++t) {
+    want.push_back(refine_reference_impl(k, graded, t));
+  }
+  for (int t = -1; t <= fix.rounds + 1; ++t) {
+    std::vector<Partition> seen;
+    const RoundObserver observe = [&](const Partition& p) {
+      seen.push_back(p);
+    };
+#ifndef WM_OBS_DISABLED
+    const std::uint64_t splits = split_smaller_total();
+#endif
+    const Partition got = graded ? coarsest_graded_bisimulation(k, t, observe)
+                                 : coarsest_bisimulation(k, t, observe);
+    const Partition& ref = t < 0 ? fix : want[t];
+    EXPECT_EQ(got.block, ref.block) << what << " t=" << t;
+    EXPECT_EQ(got.num_blocks, ref.num_blocks) << what << " t=" << t;
+    EXPECT_EQ(got.rounds, ref.rounds) << what << " t=" << t;
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(got.rounds) + 1)
+        << what << " t=" << t;
+    for (int r = 0; r <= got.rounds; ++r) {
+      EXPECT_EQ(seen[r].block, want[r].block) << what << " round " << r;
+      EXPECT_EQ(seen[r].num_blocks, want[r].num_blocks) << what;
+      EXPECT_EQ(seen[r].rounds, r) << what;
+    }
+#ifndef WM_OBS_DISABLED
+    EXPECT_EQ(split_smaller_total() - splits,
+              static_cast<std::uint64_t>(got.num_blocks -
+                                         valuation_partition(k).num_blocks))
+        << what << " t=" << t;
+#endif
+  }
+}
+
+// The joint model of each class's view over the locality scope: every
+// graph on at most 4 nodes with max degree at most 3, under the identity
+// and 3 seeded random numberings (bench_locality's and perfbench's
+// scope shape).
+TEST_P(RefinementDifferential, LocalityScopeJointModels) {
+  const bool graded = GetParam();
+  EnumerateOptions opts;
+  opts.connected_only = false;
+  opts.max_degree = 3;
+  std::vector<PortNumbering> numberings;
+  Rng rng(1);
+  for (int n = 1; n <= 4; ++n) {
+    enumerate_graphs(n, opts, [&](const Graph& g) {
+      numberings.push_back(PortNumbering::identity(g));
+      for (int r = 0; r < 3; ++r) {
+        numberings.push_back(PortNumbering::random(g, rng));
+      }
+      return true;
+    });
+  }
+  for (const ProblemClass c : all_problem_classes()) {
+    std::vector<KripkeModel> parts;
+    for (const PortNumbering& p : numberings) {
+      parts.push_back(kripke_from_graph(p, kripke_variant_for(c), 3));
+    }
+    const KripkeModel joint = KripkeModel::disjoint_union(parts);
+    ASSERT_GT(joint.num_states(), 1000);
+    expect_matches_reference(joint, graded, problem_class_name(c));
+  }
+}
+
+// Parallel edges and self-loops, several relations, a few props.
+TEST_P(RefinementDifferential, MultigraphModels) {
+  const bool graded = GetParam();
+  for (const std::uint64_t seed : difftest::seeds_under_test()) {
+    Rng rng(seed + 7);
+    for (int trial = 0; trial < 40; ++trial) {
+      const int n = 1 + static_cast<int>(rng.below(60));
+      const int relations = 1 + static_cast<int>(rng.below(4));
+      const int edges = static_cast<int>(rng.below(3 * n + 1));
+      const int props = static_cast<int>(rng.below(3));
+      const KripkeModel k =
+          canontest::random_multigraph_model(rng, n, relations, edges, props);
+      expect_matches_reference(
+          k, graded, "multigraph WM_SEED=" + std::to_string(seed) +
+                         " trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST_P(RefinementDifferential, EdgeShapes) {
+  const bool graded = GetParam();
+  // Δ > 64: more than 64 props, so valuation_partition takes its map
+  // path. A star with 66 leaves and a path hanging off one leaf.
+  {
+    Graph g(70);
+    for (int leaf = 1; leaf <= 66; ++leaf) g.add_edge(0, leaf);
+    g.add_edge(66, 67);
+    g.add_edge(67, 68);
+    g.add_edge(68, 69);
+    Rng rng(3);
+    const PortNumbering p = PortNumbering::random(g, rng);
+    for (const Variant variant : {Variant::MinusMinus, Variant::MinusPlus,
+                                  Variant::PlusMinus}) {
+      const KripkeModel k = kripke_from_graph(p, variant);
+      ASSERT_GT(k.num_props(), 64);
+      expect_matches_reference(k, graded, "delta 66");
+    }
+  }
+  // No states, with and without registered relations.
+  expect_matches_reference(KripkeModel(0, 0), graded, "n=0");
+  {
+    KripkeModel k(0, 2);
+    k.ensure_relation({1, 1});
+    expect_matches_reference(k, graded, "n=0 with a relation");
+  }
+  // Registered relations, all empty.
+  {
+    KripkeModel k(6, 2);
+    for (int a = 1; a <= 3; ++a) k.ensure_relation({a, 1});
+    k.set_prop(1, 2);
+    k.set_prop(2, 2);
+    k.set_prop(2, 4);
+    expect_matches_reference(k, graded, "empty relations");
+  }
+  // One block splitting into 1,200 groups in one round: 2,400 sources
+  // without props, source i pointing (i % 3 + 1 times) at leaf i % 1200,
+  // whose 11 props spell a distinct nonzero profile.
+  {
+    constexpr int kLeaves = 1200;
+    constexpr int kSources = 2 * kLeaves;
+    KripkeModel k(kLeaves + kSources, 11);
+    for (int leaf = 0; leaf < kLeaves; ++leaf) {
+      for (int q = 1; q <= 11; ++q) {
+        if (((leaf + 1) >> (q - 1)) & 1) k.set_prop(q, leaf);
+      }
+    }
+    for (int i = 0; i < kSources; ++i) {
+      for (int c = 0; c <= i % 3; ++c) {
+        k.add_edge({1, 1}, kLeaves + i, i % kLeaves);
+      }
+    }
+    const Partition one = graded ? coarsest_graded_bisimulation(k, 1)
+                                 : coarsest_bisimulation(k, 1);
+    ASSERT_GE(one.num_blocks - valuation_partition(k).num_blocks, 1000);
+    expect_matches_reference(k, graded, "1,200-way split");
   }
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "logic/model_checker.hpp"
 #include "logic/random_formula.hpp"
 #include "port/port_numbering.hpp"
+#include "support/canon_harness.hpp"
+#include "support/oracles.hpp"
 
 namespace wm {
 namespace {
@@ -125,6 +130,39 @@ TEST(Quotient, GradedQuotientOfStarKeepsMultiplicity) {
   // The centre block keeps 5 parallel edges to the leaf block.
   const Partition p = coarsest_graded_bisimulation(k);
   EXPECT_TRUE(model_check(q, f)[p.block[0]]);
+}
+
+// The graded quotient builds each block's row from its first member's
+// successors; the reference fills and scans a count vector per
+// (modality, block). Same model — states, valuation, every registered
+// relation and every row in order — on multigraphs with parallel edges
+// and self-loops, under graded, bounded, ungraded, valuation and
+// discrete partitions.
+TEST(Quotient, GradedQuotientMatchesCountVectorReference) {
+  Rng rng(17);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.below(40));
+    const int relations = 1 + static_cast<int>(rng.below(4));
+    const int edges = static_cast<int>(rng.below(4 * n + 1));
+    const int props = static_cast<int>(rng.below(3));
+    const KripkeModel k =
+        canontest::random_multigraph_model(rng, n, relations, edges, props);
+    Partition discrete;
+    discrete.block.resize(static_cast<std::size_t>(n));
+    std::iota(discrete.block.begin(), discrete.block.end(), 0);
+    discrete.num_blocks = n;
+    for (const Partition& p :
+         {coarsest_graded_bisimulation(k), coarsest_graded_bisimulation(k, 1),
+          coarsest_bisimulation(k), valuation_partition(k), discrete}) {
+      const KripkeModel got = graded_quotient_model(k, p);
+      const KripkeModel want = graded_quotient_model_reference(k, p);
+      EXPECT_EQ(got.to_string(), want.to_string()) << "trial " << trial;
+      ASSERT_EQ(got.num_props(), want.num_props());
+      for (int q = 1; q <= got.num_props(); ++q) {
+        EXPECT_EQ(got.prop_bits(q), want.prop_bits(q)) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(Quotient, GradedSemanticsMayDifferAfterQuotient) {

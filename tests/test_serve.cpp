@@ -338,6 +338,46 @@ TEST(ServeLimits, SymmetricGraphAtTheNodeCapCanonicalises) {
   EXPECT_EQ(result->find("hash")->as_string(), hash);
 }
 
+// Every distinct modality of an explicit model registers one successor
+// row per state, and the canonical form two more, so an explicit model
+// may have at most 2^18 states x distinct modalities. Past that it is
+// refused before anything is built: the first request below, 2,048
+// states and every (in, out) pair of ports 0..64 (4,225 modalities, one
+// edge each), once took the daemon from 3.4 MB to ~735 MiB.
+TEST(ServeLimits, ExplicitModelRowsAreBoundedBeforeBuilding) {
+  auto request = [](int states, int modalities) {
+    std::string line = R"({"op": "modelcheck", "formula": "T", )"
+                       R"("timeout_ms": 1, "model": {"states": )" +
+                       std::to_string(states) + R"(, "props": 0, "edges": [)";
+    for (int m = 0; m < modalities; ++m) {
+      const int edge[4] = {m / 65, m % 65, m % states, m * 7 % states};
+      line += m > 0 ? ", [" : "[";
+      for (int i = 0; i < 4; ++i) {
+        if (i > 0) line += ", ";
+        line += std::to_string(edge[i]);
+      }
+      line += ']';
+    }
+    return line + "]}}";
+  };
+  auto code = [](const std::string& reply) {
+    const Json j = parse_json(reply);
+    return j.find("ok")->as_bool()
+               ? std::string("ok")
+               : j.find("error")->find("code")->as_string();
+  };
+  Service service;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(code(service.handle_line(request(2048, 4225))), "bad_request");
+  const std::chrono::duration<double, std::milli> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 500.0);
+  // One row past the bound is refused; at the bound the request is
+  // built and runs into its 1 ms deadline or answers.
+  EXPECT_EQ(code(service.handle_line(request(65, 4033))), "bad_request");
+  EXPECT_NE(code(service.handle_line(request(64, 4096))), "bad_request");
+}
+
 // --- 3. Differential: served == direct --------------------------------------
 
 std::vector<int> holds_from_reply(const std::string& reply) {

@@ -9,6 +9,9 @@ the deadline. The hostile probes:
 
   - a 200 KB line of nested negations and a 66,000-conjunct chain each
     answer bad_formula, and the connection then answers stats;
+  - an explicit Kripke model of 2,048 states and all 4,225 (in, out)
+    port pairs answers bad_request, and the daemon's peak RSS (VmHWM)
+    stays under 128 MiB;
   - 600 sequential connections leave the daemon's VmSize within 64 MiB
     between connection 300 and connection 600;
   - with MAX_CONNECTIONS open, one more gets a single busy line and EOF.
@@ -144,14 +147,28 @@ def main():
                 fail("%s: %r" % (name, r))
             if not ask({"op": "stats"})["ok"]:
                 fail("connection stopped answering after the %s" % name)
+
+        def status_kib(name):
+            with open("/proc/%d/status" % proc.pid) as status:
+                for field in status:
+                    if field.startswith(name + ":"):
+                        return int(field.split()[1])
+            fail("no %s for the daemon" % name)
+
+        # An explicit model registers one successor row per state and
+        # distinct modality; this one once took the daemon to ~735 MiB.
+        edges = [[m // 65, m % 65, m % 2048, m * 7 % 2048]
+                 for m in range(4225)]
+        r = ask({"op": "modelcheck", "formula": "T", "timeout_ms": 1000,
+                 "model": {"states": 2048, "props": 0, "edges": edges}})
+        if r["ok"] or r["error"]["code"] != "bad_request":
+            fail("2,048 states x 4,225 modalities: %r" % r)
+        if status_kib("VmHWM") > 128 * 1024:
+            fail("VmHWM reached %d KiB" % status_kib("VmHWM"))
         sock.close()
 
         def vm_size_kib():
-            with open("/proc/%d/status" % proc.pid) as status:
-                for field in status:
-                    if field.startswith("VmSize:"):
-                        return int(field.split()[1])
-            fail("no VmSize for the daemon")
+            return status_kib("VmSize")
 
         def one_connection():
             c = socket.create_connection(("127.0.0.1", port), timeout=5)
