@@ -24,17 +24,21 @@ namespace {
 
 using namespace wm;
 
+const Modality kM1{0, 1};
+const Modality kM2{0, 2};
+const Modality kRelations[] = {kM1, kM2};
+
 KripkeModel arithmetic_model(int n) {
-  KripkeModel k(n, 2);
-  const Modality m1{0, 1};
-  const Modality m2{0, 2};
-  k.ensure_relation(m1);
-  k.ensure_relation(m2);
+  std::vector<KripkeEdge> edges;
+  edges.reserve(3 * static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
     const auto u = static_cast<long long>(v);
-    k.add_edge(m1, v, static_cast<int>((2 * u + 1) % n));
-    k.add_edge(m1, v, static_cast<int>((6 * u + 5) % n));
-    k.add_edge(m2, v, static_cast<int>((3 * u + 2) % n));
+    edges.push_back({kM1, v, static_cast<int>((2 * u + 1) % n)});
+    edges.push_back({kM1, v, static_cast<int>((6 * u + 5) % n)});
+    edges.push_back({kM2, v, static_cast<int>((3 * u + 2) % n)});
+  }
+  KripkeModel k = KripkeModel::from_edges(n, 2, edges, kRelations);
+  for (int v = 0; v < n; ++v) {
     if (v % 3 == 0) k.set_prop(1, v);
     if (v % 5 == 0) k.set_prop(2, v);
   }
@@ -45,19 +49,21 @@ KripkeModel arithmetic_model(int n) {
 /// modalities); random targets make refinement hit the fixpoint in a
 /// handful of rounds.
 KripkeModel random_model(int n, std::uint64_t seed) {
-  KripkeModel k(n, 2);
-  const Modality m1{0, 1};
-  const Modality m2{0, 2};
-  k.ensure_relation(m1);
-  k.ensure_relation(m2);
+  std::vector<KripkeEdge> edges;
+  edges.reserve(3 * static_cast<std::size_t>(n));
+  std::vector<int> q1;
+  std::vector<int> q2;
   Rng rng(seed);
   for (int v = 0; v < n; ++v) {
-    k.add_edge(m1, v, static_cast<int>(rng.below(n)));
-    k.add_edge(m1, v, static_cast<int>(rng.below(n)));
-    k.add_edge(m2, v, static_cast<int>(rng.below(n)));
-    if (rng.chance(1, 3)) k.set_prop(1, v);
-    if (rng.chance(1, 5)) k.set_prop(2, v);
+    edges.push_back({kM1, v, static_cast<int>(rng.below(n))});
+    edges.push_back({kM1, v, static_cast<int>(rng.below(n))});
+    edges.push_back({kM2, v, static_cast<int>(rng.below(n))});
+    if (rng.chance(1, 3)) q1.push_back(v);
+    if (rng.chance(1, 5)) q2.push_back(v);
   }
+  KripkeModel k = KripkeModel::from_edges(n, 2, edges, kRelations);
+  for (const int v : q1) k.set_prop(1, v);
+  for (const int v : q2) k.set_prop(2, v);
   return k;
 }
 

@@ -1,7 +1,6 @@
 #include "bisim/bisimulation.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <map>
 #include <numeric>
@@ -79,9 +78,11 @@ namespace {
 // bounded-refinement semantics, i.e. modal depth — invariant, and what
 // lets an observer see each round as the reference numbers it.
 //
-// Everything lives in flat per-call arrays: the edges (EdgeArrays), the
-// blocks as ranges of one element array, and the signatures of the block
-// being split in one reused arena, grouped by an open-addressing table.
+// The edges are read in place from the model's store (out-edges and
+// merged predecessors, logic/kripke.hpp). Everything else lives in flat
+// per-call arrays: the blocks as ranges of one element array, and the
+// signatures of the block being split in one reused arena, grouped by an
+// open-addressing table.
 
 /// `block` renumbered by first member, as the reference numbers every
 /// round (its full passes assign ids in state order). Blocks are never
@@ -99,51 +100,6 @@ Partition numbered_by_first_member(const std::vector<int>& block, int rounds) {
   return p;
 }
 
-/// The model's edges, O(n + E) however many relations are registered:
-/// each state's out-edges as (modality index, target) pairs, by modality
-/// then target, and each state's predecessors over all modalities merged
-/// (a state that reaches w twice is listed twice).
-struct EdgeArrays {
-  std::vector<int> out_begin;  // n + 1 offsets into out
-  std::vector<std::pair<int, int>> out;
-  std::vector<int> pred_begin;  // n + 1 offsets into pred
-  std::vector<int> pred;
-
-  explicit EdgeArrays(const KripkeModel& k) {
-    const int n = k.num_states();
-    // One pass over the relation rows lists every edge (from, modality,
-    // to) modality-major and counts it at both ends; a reverse pass
-    // then places each edge below its endpoint's running end, keeping
-    // the listed order within every state.
-    std::vector<std::array<int, 3>> listed;
-    out_begin.assign(static_cast<std::size_t>(n) + 1, 0);
-    pred_begin.assign(static_cast<std::size_t>(n) + 1, 0);
-    int a = 0;
-    for (const Modality& alpha : k.modalities()) {
-      const std::vector<std::vector<int>>& rows = *k.relation(alpha);
-      for (int v = 0; v < n; ++v) {
-        for (const int w : rows[v]) {
-          listed.push_back({v, a, w});
-          ++out_begin[v];
-          ++pred_begin[w];
-        }
-      }
-      ++a;
-    }
-    for (int v = 1; v <= n; ++v) {
-      out_begin[v] += out_begin[v - 1];
-      pred_begin[v] += pred_begin[v - 1];
-    }
-    out.resize(listed.size());
-    pred.resize(listed.size());
-    for (auto e = listed.rbegin(); e != listed.rend(); ++e) {
-      const auto [v, alpha, w] = *e;
-      out[--out_begin[v]] = {alpha, w};
-      pred[--pred_begin[w]] = v;
-    }
-  }
-};
-
 /// Groups the states of one block by signature: the sorted (modality,
 /// start-of-round block) pairs of their out-edges, deduplicated when
 /// ungraded. The signatures sit in one arena reused across blocks; an
@@ -152,9 +108,9 @@ struct EdgeArrays {
 /// numbered in first-seen order.
 class SignatureGrouper {
  public:
-  explicit SignatureGrouper(const EdgeArrays& edges) : edges_(edges) {
-    arena_.reserve(edges.out.size());
-    sig_begin_.reserve(edges.out_begin.size());
+  explicit SignatureGrouper(const KripkeModel& k) : k_(k) {
+    arena_.reserve(k.num_edges());
+    sig_begin_.reserve(static_cast<std::size_t>(k.num_states()) + 1);
   }
 
   /// Groups `states` by signature against `block`; returns the group
@@ -174,10 +130,11 @@ class SignatureGrouper {
     hash_.clear();
     for (const int v : states) {
       const auto start = static_cast<std::ptrdiff_t>(arena_.size());
-      for (int i = edges_.out_begin[v]; i < edges_.out_begin[v + 1]; ++i) {
-        const auto [a, w] = edges_.out[i];
-        arena_.push_back(static_cast<std::uint64_t>(a) << 32 |
-                         static_cast<std::uint32_t>(block[w]));
+      const std::span<const int> ids = k_.out_modalities(v);
+      const std::span<const int> targets = k_.out_targets(v);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        arena_.push_back(static_cast<std::uint64_t>(ids[i]) << 32 |
+                         static_cast<std::uint32_t>(block[targets[i]]));
       }
       std::sort(arena_.begin() + start, arena_.end());
       if (!graded) {
@@ -217,7 +174,7 @@ class SignatureGrouper {
     return {arena_.data() + sig_begin_[i], sig_begin_[i + 1] - sig_begin_[i]};
   }
 
-  const EdgeArrays& edges_;
+  const KripkeModel& k_;
   std::vector<std::uint64_t> arena_;  // the block's signatures, back to back
   std::vector<std::size_t> sig_begin_;
   std::vector<int> table_;  // slot -> group, -1 when empty
@@ -234,7 +191,6 @@ Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds,
   if (max_rounds == 0) return initial;
 
   const int n = k.num_states();
-  const EdgeArrays edges(k);
   // Blocks are ranges of `elems`: block b holds elems[lo[b], hi[b]),
   // initially in state order. `block` keeps every state's
   // start-of-round id while a round runs.
@@ -251,7 +207,7 @@ Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds,
   std::vector<int> elems(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) elems[hi[block[v]]++] = v;
 
-  SignatureGrouper grouper(edges);
+  SignatureGrouper grouper(k);
   std::vector<int> part_start;  // group -> offset in the rewritten range
   std::vector<int> scratch;
   std::vector<int> touched(static_cast<std::size_t>(num_blocks));
@@ -306,9 +262,8 @@ Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds,
     touched.clear();
     for (const int nb : fresh) {
       for (int i = lo[nb]; i < hi[nb]; ++i) {
-        const int w = elems[i];
-        for (int j = edges.pred_begin[w]; j < edges.pred_begin[w + 1]; ++j) {
-          const int b = block[edges.pred[j]];
+        for (const int u : k.predecessors(elems[i])) {
+          const int b = block[u];
           if (touched_round[b] != rounds) {
             touched_round[b] = rounds;
             touched.push_back(b);
@@ -361,7 +316,7 @@ namespace {
 
 bool verify(const KripkeModel& k, const Partition& p, bool graded) {
   const int n = k.num_states();
-  const auto modalities = k.modalities();
+  const std::vector<Modality>& modalities = k.modalities();
   const auto groups = p.blocks();
   for (const auto& group : groups) {
     if (group.empty()) continue;

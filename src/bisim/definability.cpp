@@ -43,15 +43,14 @@ void boolean_closure(Family& family, std::size_t max_sets) {
   }
 }
 
-/// ||<alpha>_{>=g} S||: states with at least g alpha-successors in S.
-Bitset diamond_preimage(const KripkeModel& k, const Modality& alpha,
-                        const Bitset& s, int grade) {
+/// ||<alpha>_{>=g} S||: states with at least g alpha-successors in S,
+/// alpha given by its dense id `a`.
+Bitset diamond_preimage(const KripkeModel& k, int a, const Bitset& s,
+                        int grade) {
   Bitset out(s.size());
-  const auto* succ = k.relation(alpha);
-  if (succ == nullptr) return out;
   for (int v = 0; v < k.num_states(); ++v) {
     int count = 0;
-    for (int w : (*succ)[v]) {
+    for (int w : k.successors(a, v)) {
       if (s.test(static_cast<std::size_t>(w)) && ++count >= grade) break;
     }
     if (count >= grade) out.set(static_cast<std::size_t>(v));
@@ -78,24 +77,23 @@ std::set<std::vector<bool>> definable_sets(const KripkeModel& k, int depth,
   }
   boolean_closure(family, max_sets);
 
-  // Max useful grade per modality: the largest out-degree.
-  const auto modalities = k.modalities();
-  std::vector<int> max_grade(modalities.size(), 1);
-  for (std::size_t a = 0; a < modalities.size(); ++a) {
+  // Max useful grade per modality (by dense id): the largest out-degree.
+  const int num_modalities = static_cast<int>(k.modalities().size());
+  std::vector<int> max_grade(static_cast<std::size_t>(num_modalities), 1);
+  for (int a = 0; a < num_modalities; ++a) {
     for (int v = 0; v < k.num_states(); ++v) {
-      max_grade[a] = std::max(
-          max_grade[a],
-          static_cast<int>(k.successors(modalities[a], v).size()));
+      max_grade[a] = std::max(max_grade[a],
+                              static_cast<int>(k.successors(a, v).size()));
     }
   }
 
   for (int t = 0; depth < 0 || t < depth; ++t) {
     Family next = family;
     for (const auto& s : family) {
-      for (std::size_t a = 0; a < modalities.size(); ++a) {
+      for (int a = 0; a < num_modalities; ++a) {
         const int top = graded ? max_grade[a] : 1;
         for (int g = 1; g <= top; ++g) {
-          next.insert(diamond_preimage(k, modalities[a], s, g));
+          next.insert(diamond_preimage(k, a, s, g));
         }
       }
       guard(next, max_sets);

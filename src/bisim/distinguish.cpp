@@ -39,14 +39,15 @@ std::vector<Formula> next_layer(const KripkeModel& k, bool graded,
                                 const Partition& prev,
                                 const std::vector<Formula>& chi,
                                 const Partition& next) {
-  const auto mods = k.modalities();
+  const std::vector<Modality>& mods = k.modalities();
   std::vector<int> count(static_cast<std::size_t>(prev.num_blocks));
   std::vector<Formula> out;
   for (const int s : first_members(next)) {
     FormulaVec conj{chi[prev.block[s]]};
-    for (const Modality& alpha : mods) {
+    for (int a = 0; a < static_cast<int>(mods.size()); ++a) {
+      const Modality& alpha = mods[a];
       std::fill(count.begin(), count.end(), 0);
-      for (const int w : k.successors(alpha, s)) ++count[prev.block[w]];
+      for (const int w : k.successors(a, s)) ++count[prev.block[w]];
       for (int c = 0; c < prev.num_blocks; ++c) {
         if (graded) {
           if (count[c] > 0) {

@@ -1,7 +1,6 @@
 #include "bisim/quotient.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "graph/canonical.hpp"
@@ -40,17 +39,16 @@ void copy_valuation(const KripkeModel& k, const std::vector<int>& rep,
 
 KripkeModel quotient_model(const KripkeModel& k, const Partition& p) {
   WM_COUNT(quotient.minimisations);
-  KripkeModel q(p.num_blocks, k.num_props());
-  for (const Modality& alpha : k.modalities()) {
-    q.ensure_relation(alpha);
-    std::set<std::pair<int, int>> added;
-    for (int v = 0; v < k.num_states(); ++v) {
-      for (int w : k.successors(alpha, v)) {
-        const std::pair<int, int> e{p.block[v], p.block[w]};
-        if (added.insert(e).second) q.add_edge(alpha, e.first, e.second);
-      }
-    }
+  // One edge per distinct (modality, block, block) triple.
+  std::vector<KripkeEdge> edges = k.edges();
+  for (KripkeEdge& e : edges) {
+    e.from = p.block[e.from];
+    e.to = p.block[e.to];
   }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  KripkeModel q = KripkeModel::from_edges(p.num_blocks, k.num_props(), edges,
+                                          k.modalities());
   copy_valuation(k, first_members(p), q);
   return q;
 }
@@ -61,22 +59,16 @@ KripkeModel minimise(const KripkeModel& k) {
 
 KripkeModel graded_quotient_model(const KripkeModel& k, const Partition& p) {
   WM_COUNT(quotient.minimisations);
-  KripkeModel q(p.num_blocks, k.num_props());
   const std::vector<int> rep = first_members(p);
-  // Block b's row is its first member's successors mapped to their
-  // blocks, one edge per successor, added in sorted order.
-  std::vector<int> row;
-  for (const Modality& alpha : k.modalities()) {
-    q.ensure_relation(alpha);
-    const std::vector<std::vector<int>>& succ = *k.relation(alpha);
-    for (int b = 0; b < p.num_blocks; ++b) {
-      if (rep[b] < 0) continue;
-      row.clear();
-      for (const int w : succ[rep[b]]) row.push_back(p.block[w]);
-      std::sort(row.begin(), row.end());
-      for (const int c : row) q.add_edge(alpha, b, c);
-    }
+  // Block b's edges are its first member's, each target mapped to its
+  // block; the build sorts every row.
+  std::vector<KripkeEdge> edges;
+  for (const KripkeEdge& e : k.edges()) {
+    const int b = p.block[e.from];
+    if (rep[b] == e.from) edges.push_back({e.alpha, b, p.block[e.to]});
   }
+  KripkeModel q = KripkeModel::from_edges(p.num_blocks, k.num_props(), edges,
+                                          k.modalities());
   copy_valuation(k, rep, q);
   return q;
 }

@@ -68,8 +68,10 @@ class Refiner {
   /// signature starts with the old colour, so that order is: classes by
   /// old colour, then by the rest of the signature within a class —
   /// which is what bucketing vertices by old colour and sorting only
-  /// inside non-singleton classes computes.
-  std::uint64_t refine(std::vector<int>& colour) {
+  /// inside non-singleton classes computes. `cancel` is polled once per
+  /// round.
+  std::uint64_t refine(std::vector<int>& colour,
+                       const CancelToken* cancel = nullptr) {
     if (n_ == 0) return 0;
     std::uint64_t rounds = 0;
     bucket_by_colour(colour);
@@ -77,6 +79,7 @@ class Refiner {
     // individualisation step doubles them); after it, order_ is already
     // sorted by colour.
     for (int round = 0; round <= n_ + 1; ++round) {
+      poll_cancel(cancel);
       ++rounds;
       int next_id = 0;
       for (int b = 0; b < n_;) {
@@ -325,7 +328,6 @@ struct CanonSearch {
   }
 
   void run(std::size_t depth) {
-    poll_cancel(cancel);
     const int n = s.n;
     Level& node = level[depth];
     const std::vector<int>& colour = node.colour;
@@ -358,7 +360,7 @@ struct CanonSearch {
       child.colour.resize(static_cast<std::size_t>(n));
       for (int u = 0; u < n; ++u) child.colour[u] = 2 * colour[u];
       child.colour[v] -= 1;
-      rounds += refiner.refine(child.colour);
+      rounds += refiner.refine(child.colour, cancel);
       path.push_back(v);
       run(depth + 1);
       path.pop_back();
@@ -389,7 +391,8 @@ CanonicalForm canonical_form(const RelationalStructure& s,
     return std::move(search.best);
   }
   search.level[0].colour = s.colour;
-  search.rounds += search.refiner.refine(search.level[0].colour);
+  poll_cancel(cancel);
+  search.rounds += search.refiner.refine(search.level[0].colour, cancel);
   search.run(0);
   // Work counts are added once per form, and only when nonzero, so a
   // run that never prunes registers no orbit_prunes counter.

@@ -86,9 +86,11 @@ std::vector<int> refine_colours(const RelationalStructure& s,
                                 std::vector<int> colour);
 
 /// Individualisation–refinement canonical labelling of `s`. `cancel`
-/// (util/cancel.hpp) is polled once per search-tree node, so a request
-/// deadline interrupts even a highly symmetric input; an expired token
-/// aborts with CancelledError. The result never depends on the token.
+/// (util/cancel.hpp) is polled before the root refinement and once per
+/// refinement round — every search-tree node refines first — so a
+/// request deadline interrupts a highly symmetric input and a large one
+/// alike; an expired token aborts with CancelledError. The result never
+/// depends on the token.
 CanonicalForm canonical_form(const RelationalStructure& s,
                              const CancelToken* cancel = nullptr);
 

@@ -84,13 +84,8 @@ KripkeModel kripke_from_labelled_graph(const PortNumbering& p, Variant variant,
   }
   if (delta < 0) delta = g.max_degree();
   const KripkeModel base = kripke_from_graph(p, variant, delta);
-  KripkeModel out(base.num_states(), delta + num_labels);
-  for (const Modality& alpha : base.modalities()) {
-    out.ensure_relation(alpha);
-    for (int v = 0; v < base.num_states(); ++v) {
-      for (int w : base.successors(alpha, v)) out.add_edge(alpha, v, w);
-    }
-  }
+  KripkeModel out = KripkeModel::from_edges(
+      base.num_states(), delta + num_labels, base.edges(), base.modalities());
   for (int q = 1; q <= base.num_props(); ++q) {
     for (int v = 0; v < base.num_states(); ++v) {
       if (base.prop_holds(q, v)) out.set_prop(q, v);

@@ -10,6 +10,7 @@
 // graded quotients' multiplicity edges) are preserved as multiset entries
 // in both the refinement signatures and the certificate.
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,7 @@ RelationalStructure structure_of(const KripkeModel& k) {
   RelationalStructure s;
   s.n = n;
   s.header = "K;P" + std::to_string(k.num_props()) + ";M";
-  const std::vector<Modality> mods = k.modalities();  // sorted (map keys)
+  const std::vector<Modality>& mods = k.modalities();  // sorted
   for (const Modality& alpha : mods) {
     s.header += alpha.to_string();
     s.header += ',';
@@ -52,10 +53,15 @@ RelationalStructure structure_of(const KripkeModel& k) {
   for (int v = 0; v < n; ++v) {
     s.colour[v] = profiles.find(profile_of[v])->second;
   }
-  for (const Modality& alpha : mods) {
-    const std::size_t r = s.add_relation();
-    for (int v = 0; v < n; ++v) {
-      for (int w : k.successors(alpha, v)) s.add_edge(r, v, w);
+  // Relation r is the modality with dense id r. Reading the store state
+  // by state fills every row in the order a relation-by-relation pass
+  // would: targets sorted, sources ascending.
+  for (std::size_t r = 0; r < mods.size(); ++r) s.add_relation();
+  for (int v = 0; v < n; ++v) {
+    const std::span<const int> ids = k.out_modalities(v);
+    const std::span<const int> targets = k.out_targets(v);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      s.add_edge(static_cast<std::size_t>(ids[i]), v, targets[i]);
     }
   }
   return s;

@@ -65,10 +65,11 @@ const Bitset& eval_bits(const KripkeModel& k, const Formula& f, Memo& memo) {
     }
     case Formula::Kind::Diamond: {
       const Bitset& c = eval_bits(k, f.child(), memo);
+      const int a = k.modality_id(f.modality());
       const int need = f.grade();
       for (int v = 0; v < k.num_states(); ++v) {
         int cnt = 0;
-        for (int w : k.successors(f.modality(), v)) {
+        for (int w : k.successors(a, v)) {
           if (c.test(static_cast<std::size_t>(w)) && ++cnt >= need) break;
         }
         if (cnt >= need) out.set(static_cast<std::size_t>(v));
@@ -77,9 +78,10 @@ const Bitset& eval_bits(const KripkeModel& k, const Formula& f, Memo& memo) {
     }
     case Formula::Kind::Box: {
       const Bitset& c = eval_bits(k, f.child(), memo);
+      const int a = k.modality_id(f.modality());
       for (int v = 0; v < k.num_states(); ++v) {
         bool all = true;
-        for (int w : k.successors(f.modality(), v)) {
+        for (int w : k.successors(a, v)) {
           if (!c.test(static_cast<std::size_t>(w))) {
             all = false;
             break;

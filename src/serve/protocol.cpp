@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -40,9 +39,9 @@ constexpr int kMaxStates = 2048;        // explicit Kripke models
 constexpr int kMaxProps = 64;
 constexpr int kMaxPort = 64;            // modality components
 constexpr std::size_t kMaxEdges = 65536;
-// Explicit Kripke models: states x distinct modalities. Each modality
-// registers one successor row per state, and the canonical form keeps
-// two more, so this bounds the memory a request can claim.
+// Explicit Kripke models: states x distinct modalities. The canonical
+// form keeps two rows per state for each distinct modality, so this
+// bounds the memory a request can claim.
 constexpr long long kMaxRelationRows = 1 << 18;
 constexpr int kMaxTimeoutMs = 3600 * 1000;
 
@@ -215,9 +214,10 @@ KripkeModel parse_kripke(const Json& obj) {
   if (states < 0) throw RequestError{"bad_request", "missing field \"states\""};
   const int props = static_cast<int>(get_int(mj, "props", 0, 0, kMaxProps));
   // Every edge is checked, and the model's size bounded, before any of
-  // it is built: each distinct modality registers one row per state.
-  std::vector<std::array<int, 4>> edges;
-  std::set<std::pair<int, int>> modalities;
+  // it is built: the canonical form keeps two rows per state for each
+  // distinct modality.
+  std::vector<KripkeEdge> edges;
+  std::set<Modality> modalities;
   if (const Json* ej = mj.find("edges")) {
     if (!ej->is_array() || ej->items().size() > kMaxEdges) {
       throw RequestError{"bad_request",
@@ -239,9 +239,9 @@ KripkeModel parse_kripke(const Json& obj) {
           from >= states || to < 0 || to >= states) {
         throw RequestError{"bad_request", "Kripke edge out of range"};
       }
-      edges.push_back({static_cast<int>(in), static_cast<int>(out),
+      edges.push_back({Modality{static_cast<int>(in), static_cast<int>(out)},
                        static_cast<int>(from), static_cast<int>(to)});
-      modalities.emplace(edges.back()[0], edges.back()[1]);
+      modalities.insert(edges.back().alpha);
     }
   }
   if (states * static_cast<long long>(modalities.size()) > kMaxRelationRows) {
@@ -252,10 +252,7 @@ KripkeModel parse_kripke(const Json& obj) {
                            std::to_string(kMaxRelationRows) +
                            " relation rows"};
   }
-  KripkeModel k(states, props);
-  for (const auto& [in, out, from, to] : edges) {
-    k.add_edge(Modality{in, out}, from, to);
-  }
+  KripkeModel k = KripkeModel::from_edges(states, props, edges);
   if (const Json* vj = mj.find("valuation")) {
     if (!vj->is_array()) {
       throw RequestError{"bad_request", "field \"valuation\" must be an array"};

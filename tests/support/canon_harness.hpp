@@ -52,13 +52,13 @@ inline std::vector<int> random_permutation(int n, Rng& rng) {
 /// The Kripke model with states renamed v -> perm[v] (same signature).
 inline KripkeModel relabelled_model(const KripkeModel& k,
                                     const std::vector<int>& perm) {
-  KripkeModel m(k.num_states(), k.num_props());
-  for (const Modality& alpha : k.modalities()) {
-    m.ensure_relation(alpha);
-    for (int v = 0; v < k.num_states(); ++v) {
-      for (int w : k.successors(alpha, v)) m.add_edge(alpha, perm[v], perm[w]);
-    }
+  std::vector<KripkeEdge> edges = k.edges();
+  for (KripkeEdge& e : edges) {
+    e.from = perm[e.from];
+    e.to = perm[e.to];
   }
+  KripkeModel m = KripkeModel::from_edges(k.num_states(), k.num_props(), edges,
+                                          k.modalities());
   for (int q = 1; q <= k.num_props(); ++q) {
     for (int v = 0; v < k.num_states(); ++v) {
       if (k.prop_holds(q, v)) m.set_prop(q, perm[v]);

@@ -32,6 +32,14 @@
 //    return the same colourings, certificates and labellings; its
 //    automorphism list may be shorter but every entry must be genuine.
 //    Also off the obs counters.
+//  - KripkeModelReference (+ kripke_from_graph_reference,
+//    structure_of_reference): the pre-store Kripke model — one std::map
+//    entry per registered modality holding one sorted successor row per
+//    state, built edge by edge, unioned row by row, and reduced to a
+//    RelationalStructure relation by relation. The shipped flat store
+//    (logic/kripke.hpp) must agree with it on modalities, every successor
+//    list, to_string, the canonical certificate and the model checker.
+//    eval_naive runs on either model. Off the obs counters.
 //  - find_isomorphism / are_isomorphic / is_isomorphism: an explicit
 //    isomorphism search for small graphs — joint colour refinement, then
 //    refinement-pruned backtracking; beyond 8 nodes it composes the two
@@ -57,7 +65,8 @@
 
 namespace wm {
 
-inline std::vector<bool> eval_naive(const KripkeModel& k, const Formula& f) {
+template <class Model>
+std::vector<bool> eval_naive(const Model& k, const Formula& f) {
   WM_COUNT(modelcheck.evals);
   const int n = k.num_states();
   std::vector<bool> out(static_cast<std::size_t>(n), false);
@@ -124,6 +133,174 @@ inline std::vector<bool> eval_naive(const KripkeModel& k, const Formula& f) {
 inline std::vector<bool> model_check_naive(const KripkeModel& k,
                                            const Formula& phi) {
   return eval_naive(k, phi);
+}
+
+// --- Kripke models: the pre-store map of successor rows ----------------------
+
+class KripkeModelReference {
+ public:
+  KripkeModelReference(int num_states, int num_props)
+      : num_states_(num_states),
+        num_props_(num_props),
+        valuation_(static_cast<std::size_t>(num_props),
+                   std::vector<bool>(static_cast<std::size_t>(num_states))) {}
+
+  int num_states() const { return num_states_; }
+  int num_props() const { return num_props_; }
+
+  void add_edge(const Modality& alpha, int from, int to) {
+    ensure_relation(alpha);
+    std::vector<int>& succ = rel_[alpha][from];
+    succ.insert(std::upper_bound(succ.begin(), succ.end(), to), to);
+  }
+  void ensure_relation(const Modality& alpha) {
+    if (!rel_.contains(alpha)) {
+      rel_[alpha].assign(static_cast<std::size_t>(num_states_), {});
+    }
+  }
+  void set_prop(int q, int state, bool value = true) {
+    valuation_[q - 1][state] = value;
+  }
+  bool prop_holds(int q, int state) const { return valuation_[q - 1][state]; }
+
+  const std::vector<int>& successors(const Modality& alpha, int state) const {
+    static const std::vector<int> empty;
+    const auto it = rel_.find(alpha);
+    return it == rel_.end() ? empty : it->second[state];
+  }
+  std::vector<Modality> modalities() const {
+    std::vector<Modality> out;
+    for (const auto& [alpha, _] : rel_) out.push_back(alpha);
+    return out;
+  }
+
+  /// Row by row: each part's rows copied with its states shifted.
+  static KripkeModelReference disjoint_union(
+      const std::vector<KripkeModelReference>& parts,
+      std::vector<int>* offsets = nullptr) {
+    int states = 0;
+    int props = 0;
+    if (offsets != nullptr) offsets->clear();
+    for (const KripkeModelReference& k : parts) {
+      if (offsets != nullptr) offsets->push_back(states);
+      states += k.num_states_;
+      props = std::max(props, k.num_props_);
+    }
+    KripkeModelReference u(states, props);
+    int base = 0;
+    for (const KripkeModelReference& k : parts) {
+      for (const auto& [alpha, rows] : k.rel_) {
+        u.ensure_relation(alpha);
+        for (int v = 0; v < k.num_states_; ++v) {
+          for (const int w : rows[v]) u.rel_[alpha][base + v].push_back(base + w);
+        }
+      }
+      for (int q = 1; q <= k.num_props_; ++q) {
+        for (int v = 0; v < k.num_states_; ++v) {
+          if (k.prop_holds(q, v)) u.set_prop(q, base + v);
+        }
+      }
+      base += k.num_states_;
+    }
+    return u;
+  }
+
+  std::string to_string() const {
+    std::string out = "Kripke(|W|=" + std::to_string(num_states_) +
+                      ", props=" + std::to_string(num_props_) + ")";
+    for (const auto& [alpha, rows] : rel_) {
+      out += "\n  R" + alpha.to_string() + ":";
+      for (int v = 0; v < num_states_; ++v) {
+        for (const int w : rows[v]) {
+          out += " (" + std::to_string(v) + "->" + std::to_string(w) + ")";
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  int num_states_;
+  int num_props_;
+  std::map<Modality, std::vector<std::vector<int>>> rel_;
+  std::vector<std::vector<bool>> valuation_;  // [q-1][state]
+};
+
+/// K_{a,b}(G, p) built edge by edge from the out-ports, as before the
+/// flat store.
+inline KripkeModelReference kripke_from_graph_reference(const PortNumbering& p,
+                                                        Variant variant,
+                                                        int delta = -1) {
+  const Graph& g = p.graph();
+  if (delta < 0) delta = g.max_degree();
+  KripkeModelReference k(g.num_nodes(), delta);
+  switch (variant) {
+    case Variant::PlusPlus:
+      for (int i = 1; i <= delta; ++i) {
+        for (int j = 1; j <= delta; ++j) k.ensure_relation({i, j});
+      }
+      break;
+    case Variant::MinusPlus:
+      for (int j = 1; j <= delta; ++j) k.ensure_relation({0, j});
+      break;
+    case Variant::PlusMinus:
+      for (int i = 1; i <= delta; ++i) k.ensure_relation({i, 0});
+      break;
+    case Variant::MinusMinus:
+      k.ensure_relation({0, 0});
+      break;
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (int j = 1; j <= g.degree(v); ++j) {
+      const PortRef dst = p.forward({v, j});
+      const int i = dst.index;
+      const Modality alpha =
+          variant == Variant::PlusPlus    ? Modality{i, j}
+          : variant == Variant::MinusPlus ? Modality{0, j}
+          : variant == Variant::PlusMinus ? Modality{i, 0}
+                                          : Modality{0, 0};
+      k.add_edge(alpha, dst.node, v);
+    }
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.degree(v) >= 1) k.set_prop(g.degree(v), v);
+  }
+  return k;
+}
+
+/// The Kripke reduction of graph/canonical.hpp over the reference rows,
+/// relation by relation.
+inline RelationalStructure structure_of_reference(const KripkeModelReference& k) {
+  const int n = k.num_states();
+  RelationalStructure s;
+  s.n = n;
+  s.header = "K;P" + std::to_string(k.num_props()) + ";M";
+  const std::vector<Modality> mods = k.modalities();
+  for (const Modality& alpha : mods) s.header += alpha.to_string() + ",";
+  s.header += ';';
+  std::map<std::vector<bool>, int> profiles;
+  std::vector<std::vector<bool>> profile_of(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    for (int q = 1; q <= k.num_props(); ++q) {
+      profile_of[v].push_back(k.prop_holds(q, v));
+    }
+    profiles.emplace(profile_of[v], 0);
+  }
+  int next_id = 0;
+  for (auto& [profile, id] : profiles) {
+    id = next_id++;
+    s.header += 'v';
+    for (const bool b : profile) s.header += b ? '1' : '0';
+  }
+  s.header += ';';
+  for (int v = 0; v < n; ++v) s.colour.push_back(profiles[profile_of[v]]);
+  for (const Modality& alpha : mods) {
+    const std::size_t r = s.add_relation();
+    for (int v = 0; v < n; ++v) {
+      for (const int w : k.successors(alpha, v)) s.add_edge(r, v, w);
+    }
+  }
+  return s;
 }
 
 inline Partition refine_reference_impl(const KripkeModel& k, bool graded,

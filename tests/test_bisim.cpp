@@ -440,15 +440,16 @@ TEST_P(RefinementDifferential, EdgeShapes) {
   {
     constexpr int kLeaves = 1200;
     constexpr int kSources = 2 * kLeaves;
-    KripkeModel k(kLeaves + kSources, 11);
+    std::vector<KripkeEdge> edges;
+    for (int i = 0; i < kSources; ++i) {
+      for (int c = 0; c <= i % 3; ++c) {
+        edges.push_back({{1, 1}, kLeaves + i, i % kLeaves});
+      }
+    }
+    KripkeModel k = KripkeModel::from_edges(kLeaves + kSources, 11, edges);
     for (int leaf = 0; leaf < kLeaves; ++leaf) {
       for (int q = 1; q <= 11; ++q) {
         if (((leaf + 1) >> (q - 1)) & 1) k.set_prop(q, leaf);
-      }
-    }
-    for (int i = 0; i < kSources; ++i) {
-      for (int c = 0; c <= i % 3; ++c) {
-        k.add_edge({1, 1}, kLeaves + i, i % kLeaves);
       }
     }
     const Partition one = graded ? coarsest_graded_bisimulation(k, 1)

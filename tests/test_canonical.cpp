@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <numeric>
 #include <set>
@@ -24,6 +25,7 @@
 #include "port/port_numbering.hpp"
 #include "support/canon_harness.hpp"
 #include "support/oracles.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace wm {
@@ -390,6 +392,26 @@ TEST(CanonicalKripke, EmptyAndTrivialModels) {
   with_rel.ensure_relation(Modality{0, 0});
   const KripkeModel without_rel(2, 0);
   EXPECT_NE(canonical_certificate(with_rel), canonical_certificate(without_rel));
+}
+
+// The request deadline is polled before the root refinement and once
+// per refinement round, so it interrupts a large model during its first
+// refinement. The model: 2,048 states, 128 modalities and 65,536 edges,
+// whose canonical form takes seconds without a deadline.
+TEST(CanonicalDeadline, LargeModelStopsDuringTheRootRefinement) {
+  std::vector<KripkeEdge> edges;
+  for (int e = 0; e < 65536; ++e) {
+    edges.push_back({{(e % 128) / 8 + 1, e % 8 + 1}, e % 2048, (7 * e + 3) % 2048});
+  }
+  const KripkeModel k = KripkeModel::from_edges(2048, 0, edges);
+  ASSERT_EQ(k.modalities().size(), 128u);
+  const auto start = std::chrono::steady_clock::now();
+  const CancelToken token(start + std::chrono::milliseconds(100));
+  EXPECT_THROW((void)canonical_form(k, &token), CancelledError);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_LT(ms, 300.0);
 }
 
 }  // namespace

@@ -118,14 +118,14 @@ CensusSpace kripke_census_space(int s) {
   space.kind = "kripke-n" + std::to_string(s);
   space.count = 1ULL << (s * s + s);
   space.classify = [s](std::uint64_t idx) -> std::optional<std::string> {
-    wm::KripkeModel k(s, 1);
-    const wm::Modality box{0, 0};
-    k.ensure_relation(box);
+    const wm::Modality box[] = {{0, 0}};
+    std::vector<wm::KripkeEdge> edges;
     for (int from = 0; from < s; ++from) {
       for (int to = 0; to < s; ++to) {
-        if (idx & 1ULL << (from * s + to)) k.add_edge(box, from, to);
+        if (idx & 1ULL << (from * s + to)) edges.push_back({box[0], from, to});
       }
     }
+    wm::KripkeModel k = wm::KripkeModel::from_edges(s, 1, edges, box);
     for (int st = 0; st < s; ++st) {
       if (idx & 1ULL << (s * s + st)) k.set_prop(1, st);  // props are 1-based
     }
