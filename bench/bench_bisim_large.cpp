@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       const benchutil::Timer timer;
       Partition p;
       {
-        WM_TIME_SCOPE("bench.bisim_large.depth_sweep");
+        WM_SCOPE("bench.bisim_large.depth_sweep");
         p = coarsest_bisimulation(k, depth);
       }
       const double ms = timer.ms();
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     std::vector<int> rounds(batch_models.size());
     const benchutil::Timer timer;
     pool.parallel_for(0, batch_models.size(), [&](std::uint64_t i) {
-      WM_TIME_SCOPE("bench.bisim_large.fixpoint");
+      WM_SCOPE("bench.bisim_large.fixpoint");
       const Partition p = graded ? coarsest_graded_bisimulation(batch_models[i])
                                  : coarsest_bisimulation(batch_models[i]);
       blocks[i] = p.num_blocks;

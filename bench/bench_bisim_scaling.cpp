@@ -45,7 +45,7 @@ double run_config(const Config& cfg, ThreadPool& pool, std::size_t* models_out) 
   std::vector<int> blocks(models.size());
   const benchutil::Timer timer;
   pool.parallel_for(0, models.size(), [&](std::uint64_t i) {
-    WM_TIME_SCOPE("bench.bisim_scaling.minimise");
+    WM_SCOPE("bench.bisim_scaling.minimise");
     const Partition part = cfg.graded
                                ? coarsest_graded_bisimulation(models[i])
                                : coarsest_bisimulation(models[i]);
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     const benchutil::Timer timer;
     std::vector<int> consistent(graphs.size());
     pool.parallel_for(0, graphs.size(), [&](std::uint64_t i) {
-      WM_TIME_SCOPE("bench.bisim_scaling.symmetric");
+      WM_SCOPE("bench.bisim_scaling.symmetric");
       consistent[i] = PortNumbering::symmetric_regular(graphs[i]).is_consistent();
     }, 1);
     const double ms = timer.ms();

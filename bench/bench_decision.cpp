@@ -42,7 +42,7 @@ const char* verdict(const Problem& p, const std::vector<PortNumbering>& scope,
 void table(const char* title, const Problem& p,
            const std::vector<PortNumbering>& scope,
            const std::vector<int>& round_bounds, ThreadPool* pool) {
-  WM_TIME_SCOPE("bench.decision.table");
+  WM_SCOPE("bench.decision.table");
   const benchutil::Timer timer;
   std::printf("%s\n", title);
   std::printf("  %-8s", "rounds");

@@ -106,7 +106,7 @@ EqualityReport certify(const StateMachine& src, const StateMachine& sim,
       [&](std::uint64_t lo, std::uint64_t hi, int worker) {
         ExecutionContext& ctx = ctxs[static_cast<std::size_t>(worker)];
         for (std::uint64_t t = lo; t < hi; ++t) {
-          WM_TIME_SCOPE("bench.fig5.instance");
+          WM_SCOPE("bench.fig5.instance");
           const auto ra = execute(src, instances[t], ctx);
           const auto rb = execute(sim, instances[t], ctx);
           results[t].match =

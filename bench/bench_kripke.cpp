@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 7: the accessibility relations ===\n");
   for (const Variant variant : {Variant::PlusPlus, Variant::MinusPlus,
                                 Variant::PlusMinus, Variant::MinusMinus}) {
-    WM_TIME_SCOPE("bench.kripke.variant");
+    WM_SCOPE("bench.kripke.variant");
     const KripkeModel k = kripke_from_graph(p, variant);
     std::printf("\n%s:\n", variant_name(variant).c_str());
     for (const Modality& alpha : k.modalities()) {

@@ -39,7 +39,7 @@ void phase_double_cover(ThreadPool& pool) {
   const benchutil::Timer timer;
   std::vector<std::string> rows(cfgs.size());
   pool.parallel_for(0, cfgs.size(), [&](std::uint64_t i) {
-    WM_TIME_SCOPE("bench.lemma15.factorise");
+    WM_SCOPE("bench.lemma15.factorise");
     Rng rng(1 + i);
     const Graph g = random_regular_graph(cfgs[i].n, cfgs[i].k, rng);
     const DoubleCover dc = bipartite_double_cover(g);
@@ -65,7 +65,7 @@ void phase_matching(ThreadPool& pool) {
   const benchutil::Timer timer;
   std::vector<std::string> rows(total);
   pool.parallel_for(0, total, [&](std::uint64_t i) {
-    WM_TIME_SCOPE("bench.lemma15.matching");
+    WM_SCOPE("bench.lemma15.matching");
     char buf[128];
     if (i < sizes.size()) {
       const int n = sizes[i];
@@ -96,7 +96,7 @@ void phase_vertex_cover(ThreadPool& pool) {
   const benchutil::Timer timer;
   std::vector<std::string> rows(sizes.size());
   pool.parallel_for(0, sizes.size(), [&](std::uint64_t i) {
-    WM_TIME_SCOPE("bench.lemma15.vertex_cover");
+    WM_SCOPE("bench.lemma15.vertex_cover");
     const int n = sizes[i];
     Rng rng(4);
     const Graph g = random_connected_graph(n, 4, n / 2, rng);
@@ -147,7 +147,7 @@ void phase_covering_search(ThreadPool& pool) {
                      double_cover_lift(base).numbering});
   }
   for (const Case& c : cases) {
-    WM_TIME_SCOPE("bench.lemma15.covering");
+    WM_SCOPE("bench.lemma15.covering");
     const benchutil::Timer timer;
     const auto phi = find_covering_map(c.h, c.g, &pool);
     g_cover_ms += timer.ms();

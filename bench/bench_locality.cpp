@@ -18,7 +18,7 @@ using namespace wm;
 
 std::vector<ScopedInstance> build_scope(const Problem& problem, int max_n,
                                         int max_degree, bool add_witness) {
-  WM_TIME_SCOPE("bench.locality.scope");
+  WM_SCOPE("bench.locality.scope");
   std::vector<ScopedInstance> scope;
   EnumerateOptions opts;
   opts.connected_only = false;
@@ -39,7 +39,7 @@ std::vector<ScopedInstance> build_scope(const Problem& problem, int max_n,
 
 void report(const char* name, const std::vector<ScopedInstance>& scope,
             int delta) {
-  WM_TIME_SCOPE("bench.locality.report");
+  WM_SCOPE("bench.locality.report");
   std::printf("%-26s", name);
   for (const ProblemClass c : all_problem_classes()) {
     const SolvabilityReport r = analyse_solvability(scope, c, delta);

@@ -46,7 +46,7 @@ constexpr int kDepths[] = {1, 4, 8};
 constexpr int kExecSizes[] = {32, 128};
 
 std::string modelcheck_cell(int n, int depth) {
-  WM_TIME_SCOPE("bench.modelcheck.cell");
+  WM_SCOPE("bench.modelcheck.cell");
   Rng rng(1);
   const Graph g = random_connected_graph(n, 4, n, rng);
   const KripkeModel k =
@@ -61,7 +61,7 @@ std::string modelcheck_cell(int n, int depth) {
 }
 
 std::string execute_cell(int n, int depth) {
-  WM_TIME_SCOPE("bench.modelcheck.execute");
+  WM_SCOPE("bench.modelcheck.execute");
   Rng rng(2);
   const Graph g = random_connected_graph(n, 4, n, rng);
   const PortNumbering p = PortNumbering::random(g, rng);

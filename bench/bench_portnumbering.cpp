@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   std::printf("\nlocal types t(v) under the consistent numbering "
               "(Theorem 17):\n");
   for (int v = 0; v < g.num_nodes(); ++v) {
-    WM_TIME_SCOPE("bench.portnumbering.local_type");
+    WM_SCOPE("bench.portnumbering.local_type");
     const auto t = consistent.local_type(v, g.max_degree());
     std::printf("  t(%d) = (", v);
     for (std::size_t i = 0; i < t.size(); ++i) {

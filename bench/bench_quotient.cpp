@@ -26,7 +26,7 @@ namespace {
 using namespace wm;
 
 std::string row(const std::string& name, const PortNumbering& p) {
-  WM_TIME_SCOPE("bench.quotient.row");
+  WM_SCOPE("bench.quotient.row");
   const Graph& g = p.graph();
   char buf[64];
   std::snprintf(buf, sizeof buf, "%-26s %-4d", name.c_str(), g.num_nodes());
@@ -52,7 +52,7 @@ double g_search_ms = 0;
 /// does the family produce? (1 everywhere = the graph's local views are
 /// numbering-independent; more = the numbering leaks information.)
 void quotient_search(const char* name, const Graph& g, ThreadPool& pool) {
-  WM_TIME_SCOPE("bench.quotient.search");
+  WM_SCOPE("bench.quotient.search");
   std::vector<PortNumbering> numberings;
   for_each_consistent_port_numbering(g, [&](const PortNumbering& p) {
     numberings.push_back(p);

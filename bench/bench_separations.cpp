@@ -38,7 +38,7 @@ void sweep_thm11(ThreadPool& pool) {
   // sweep parallelises over k with rows buffered in k order.
   std::vector<std::string> rows(11);
   pool.parallel_for(2, 11, [&](std::uint64_t ki) {
-    WM_TIME_SCOPE("bench.separations.thm11");
+    WM_SCOPE("bench.separations.thm11");
     const int k = static_cast<int>(ki);
     SeparationWitness w = thm11_witness(k);
     // Exhaust all numberings for small k, sample for large.
@@ -116,7 +116,7 @@ void search_thm13_witnesses(ThreadPool& pool) {
   std::vector<KripkeModel> models(candidates.size(), KripkeModel(0, 0));
   std::vector<std::vector<Entry>> entry_slots(candidates.size());
   pool.parallel_for(0, candidates.size(), [&](std::uint64_t i) {
-    WM_TIME_SCOPE("bench.separations.thm13_kripke");
+    WM_SCOPE("bench.separations.thm13_kripke");
     const Graph& g = candidates[i];
     models[i] =
         kripke_from_graph(PortNumbering::identity(g), Variant::MinusMinus, 3);
@@ -180,7 +180,7 @@ void sweep_thm17(ThreadPool& pool) {
   const std::vector<int> ks = {3, 5, 7};
   std::vector<std::string> rows(ks.size());
   pool.parallel_for(0, ks.size(), [&](std::uint64_t i) {
-    WM_TIME_SCOPE("bench.separations.thm17");
+    WM_SCOPE("bench.separations.thm17");
     const int k = ks[i];
     const Graph g = class_g_graph(k);
     const PortNumbering p = PortNumbering::symmetric_regular(g);
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
         thm13_witness(), thm11_witness(3), thm17_witness(3)};
     std::vector<std::string> rows(witnesses.size());
     pool.parallel_for(0, witnesses.size(), [&](std::uint64_t i) {
-      WM_TIME_SCOPE("bench.separations.witness");
+      WM_SCOPE("bench.separations.witness");
       const SeparationCheck c = check_separation(witnesses[i]);
       char buf[160];
       std::snprintf(buf, sizeof buf, "%-55s -> %s\n",

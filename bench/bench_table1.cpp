@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       [&](std::uint64_t lo, std::uint64_t hi, int worker) {
         ExecutionContext& ctx = ctxs[static_cast<std::size_t>(worker)];
         for (std::uint64_t i = lo; i < hi; ++i) {
-          WM_TIME_SCOPE("bench.table1.row");
+          WM_SCOPE("bench.table1.row");
           const auto ra = execute(*sb, instances[i], ctx);
           const auto rb = execute(*beeping, instances[i], ctx);
           char buf[160];

@@ -34,7 +34,7 @@ struct SweepResult {
 };
 
 SweepResult depth_sweep(Variant variant, bool graded) {
-  WM_TIME_SCOPE("bench.thm2.depth_sweep");
+  WM_SCOPE("bench.thm2.depth_sweep");
   Rng frng(7 + static_cast<std::uint64_t>(variant));
   Rng grng(11);
   SweepResult result;
@@ -81,7 +81,7 @@ SweepResult depth_sweep(Variant variant, bool graded) {
 }
 
 void extraction_table() {
-  WM_TIME_SCOPE("bench.thm2.extract");
+  WM_SCOPE("bench.thm2.extract");
   std::printf("\n=== Tables 4-5: machine -> formula extraction ===\n");
   std::printf("%-28s %-18s %-8s %-8s %-10s %-10s\n", "machine", "class",
               "rounds", "md", "size", "graded");

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   // {2*Delta}); Delta <= 4 keeps the bench fast while showing the trend.
   Rng rng(99);
   for (int delta = 2; delta <= 4; ++delta) {
-    WM_TIME_SCOPE("bench.thm4.delta");
+    WM_SCOPE("bench.thm4.delta");
     const int n = 2 * ((delta + 4) / 2 + 3);  // even, comfortably > delta
     const Graph g = random_regular_graph(n, delta, rng);
     const PortNumbering p = PortNumbering::random(g, rng);
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
               "2*Delta");
   Rng arng(7);
   auto ablate = [&](const char* name, const Graph& g) {
-    WM_TIME_SCOPE("bench.thm4.ablate");
+    WM_SCOPE("bench.thm4.ablate");
     const PortNumbering p = PortNumbering::random(g, arng);
     const int delta = g.max_degree();
     const int needed = rounds_until_keys_distinct(p, 2 * delta);

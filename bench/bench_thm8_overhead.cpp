@@ -83,7 +83,7 @@ void sweep(const char* label,
   const Graph g = random_regular_graph(12, 3, rng);
   const PortNumbering p = PortNumbering::random(g, rng);
   for (int t = 1; t <= 6; ++t) {
-    WM_TIME_SCOPE("bench.thm8.probe");
+    WM_SCOPE("bench.thm8.probe");
     auto a = probe(t);
     auto b = to_multiset_machine(a);
     const auto ra = execute(*a, p);

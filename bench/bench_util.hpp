@@ -65,13 +65,6 @@ inline void report_phase(const char* label, double ms, std::size_t items = 0) {
   }
 }
 
-/// Serialises one counter-snapshot kind as a JSON object body.
-/// (Thin alias — the implementation moved to obs::counters_json so the
-/// serve stats endpoint and the benches emit the identical encoding.)
-inline std::string metrics_json(wm::obs::CounterKind kind) {
-  return wm::obs::counters_json(kind);
-}
-
 /// Writes BENCH_<name>.json in the working directory: the cross-PR perf
 /// trajectory record. `n` is the bench's headline size parameter and
 /// graphs_per_sec its headline throughput (0 if not meaningful). The
@@ -93,8 +86,8 @@ inline void write_bench_json(const std::string& name, long long n,
                  "\"metrics\": {\"work\": %s, \"info\": %s}, "
                  "\"manifest\": %s, \"timings\": %s}\n",
                  name.c_str(), n, threads, wall_ms, graphs_per_sec,
-                 metrics_json(wm::obs::CounterKind::kWork).c_str(),
-                 metrics_json(wm::obs::CounterKind::kInfo).c_str(),
+                 wm::obs::counters_json(wm::obs::CounterKind::kWork).c_str(),
+                 wm::obs::counters_json(wm::obs::CounterKind::kInfo).c_str(),
                  wm::obs::manifest_json(threads).c_str(),
                  wm::obs::timings_json().c_str());
     std::fclose(f);

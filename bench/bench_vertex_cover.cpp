@@ -22,7 +22,7 @@ namespace {
 using namespace wm;
 
 void row(const char* name, const Graph& g, const StateMachine& m, Rng& rng) {
-  WM_TIME_SCOPE("bench.vertex_cover.row");
+  WM_SCOPE("bench.vertex_cover.row");
   const PortNumbering p = PortNumbering::random(g, rng);
   const ExecutionResult r = execute(m, p);
   if (!r.stopped) {

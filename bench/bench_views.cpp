@@ -17,7 +17,7 @@ namespace {
 using namespace wm;
 
 int classes_at_depth(const PortNumbering& p, int depth) {
-  WM_TIME_SCOPE("bench.views.classes");
+  WM_SCOPE("bench.views.classes");
   const auto vs = views(p, depth);
   std::vector<Value> uniq(vs.begin(), vs.end());
   std::sort(uniq.begin(), uniq.end());
@@ -37,7 +37,7 @@ int stabilisation_depth(const PortNumbering& p) {
 }
 
 void row(const char* name, const PortNumbering& p) {
-  WM_TIME_SCOPE("bench.views.row");
+  WM_SCOPE("bench.views.row");
   const Graph& g = p.graph();
   const auto classes = view_classes(p);
   const int distinct = *std::max_element(classes.begin(), classes.end()) + 1;

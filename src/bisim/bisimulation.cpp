@@ -282,7 +282,7 @@ Partition refine_worklist(const KripkeModel& k, bool graded, int max_rounds,
 /// inside speculative parallel_find_first predicates (see parallel.hpp).
 Partition refine(const KripkeModel& k, bool graded, int max_rounds,
                  const RoundObserver& observe = {}) {
-  WM_TIME_SCOPE("bisim.refine");
+  WM_SCOPE("bisim.refine");
   Partition p = refine_worklist(k, graded, max_rounds, observe);
   WM_COUNT(bisim.refinements);
   WM_COUNT_ADD(bisim.refine_rounds, p.rounds);

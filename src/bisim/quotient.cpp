@@ -7,7 +7,6 @@
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/progress.hpp"
-#include "obs/trace.hpp"
 #include "util/parallel.hpp"
 #include "util/visitor.hpp"
 
@@ -86,8 +85,7 @@ QuotientSearchResult search_distinct_quotients(
     return graded ? minimise_graded(k) : minimise(k);
   };
 
-  WM_TRACE_SCOPE("quotient.search");
-  WM_TIME_SCOPE("quotient.search");
+  WM_SCOPE("quotient.search");
   WM_COUNT(quotient.searches);
   WM_COUNT_ADD(quotient.scanned, count);
   obs::ProgressTask progress("quotient.search", count);

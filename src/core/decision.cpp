@@ -5,7 +5,6 @@
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/progress.hpp"
-#include "obs/trace.hpp"
 #include "util/visitor.hpp"
 
 namespace wm {
@@ -63,8 +62,7 @@ KripkeModel joint_model(const std::vector<PortNumbering>& scope,
 Decision decide_solvable(const Problem& problem,
                          const std::vector<PortNumbering>& scope,
                          ProblemClass c, const DecisionOptions& opts) {
-  WM_TRACE_SCOPE("decision");
-  WM_TIME_SCOPE("decision.decide");
+  WM_SCOPE("decision.decide");
   std::vector<int> offsets;
   const KripkeModel joint =
       joint_model(scope, kripke_variant_for(c), scope_delta(scope, opts.delta),

@@ -4,7 +4,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "obs/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/visitor.hpp"
 
@@ -12,8 +11,7 @@ namespace wm {
 
 ScopedInstance instance_for(const Problem& problem, PortNumbering numbering,
                             const CancelToken* cancel) {
-  WM_TRACE_SCOPE("solvability.instance");
-  WM_TIME_SCOPE("solvability.instance");
+  WM_SCOPE("solvability.instance");
   WM_COUNT(solvability.instances);
   ScopedInstance inst;
   const Graph& g = numbering.graph();
@@ -45,8 +43,7 @@ SolvabilityReport analyse_solvability(const std::vector<ScopedInstance>& scope,
                                       ProblemClass c, int delta,
                                       int max_rounds,
                                       const CancelToken* cancel) {
-  WM_TRACE_SCOPE("solvability.analyse");
-  WM_TIME_SCOPE("solvability.analyse");
+  WM_SCOPE("solvability.analyse");
   WM_COUNT(solvability.analyses);
   const Variant variant = kripke_variant_for(c);
   // Multiset classes see multiplicities: graded refinement. Set classes

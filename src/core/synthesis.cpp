@@ -7,7 +7,6 @@
 #include "logic/simplify.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "obs/trace.hpp"
 #include "runtime/combinators.hpp"
 
 namespace wm {
@@ -58,8 +57,7 @@ std::optional<BlockSolution> solve_blocks(
 std::optional<SynthesisResult> synthesise_solution(
     const Problem& problem, const std::vector<PortNumbering>& scope,
     ProblemClass c, const DecisionOptions& opts) {
-  WM_TRACE_SCOPE("synthesis");
-  WM_TIME_SCOPE("synthesis.solution");
+  WM_SCOPE("synthesis.solution");
   WM_COUNT(synthesis.calls);
   if (problem.output_alphabet() != std::vector<int>{0, 1}) {
     throw std::invalid_argument(
@@ -79,8 +77,7 @@ std::optional<SynthesisResult> synthesise_solution(
 std::optional<MultiSynthesisResult> synthesise_multivalued(
     const Problem& problem, const std::vector<PortNumbering>& scope,
     ProblemClass c, const DecisionOptions& opts) {
-  WM_TRACE_SCOPE("synthesis.multivalued");
-  WM_TIME_SCOPE("synthesis.multivalued");
+  WM_SCOPE("synthesis.multivalued");
   WM_COUNT(synthesis.calls);
   MultiSynthesisResult result;
   result.alphabet = problem.output_alphabet();

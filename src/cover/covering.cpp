@@ -77,7 +77,7 @@ std::optional<std::vector<NodeId>> propagate_cover(
 
 std::optional<std::vector<NodeId>> find_covering_map(
     const PortNumbering& h, const PortNumbering& g, ThreadPool* pool) {
-  WM_TIME_SCOPE("cover.find");
+  WM_SCOPE("cover.find");
   const std::vector<std::vector<NodeId>> components =
       connected_components(h.graph());
   const std::uint64_t base = static_cast<std::uint64_t>(g.graph().num_nodes());

@@ -383,7 +383,7 @@ std::uint64_t certificate_hash(const std::string& certificate) {
 
 CanonicalForm canonical_form(const RelationalStructure& s,
                              const CancelToken* cancel) {
-  WM_TIME_SCOPE("canonical.form");
+  WM_SCOPE("canonical.form");
   WM_COUNT(canonical.forms);
   CanonSearch search(s, cancel);
   if (s.n == 0) {

@@ -8,7 +8,6 @@
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/progress.hpp"
-#include "obs/trace.hpp"
 #include "util/visitor.hpp"
 
 namespace wm {
@@ -57,7 +56,7 @@ std::size_t enumerate_graphs(int n, const EnumerateOptions& opts,
                              const std::function<bool(const Graph&)>& fn) {
   const std::vector<Edge> all_edges = all_possible_edges(n);
   const std::size_t m = all_edges.size();
-  WM_TIME_SCOPE("enumerate.scan");
+  WM_SCOPE("enumerate.scan");
   obs::ProgressTask progress("enumerate.scan", 1ULL << m);
   std::size_t visited = 0;
   for (std::uint64_t mask = 0; mask < (1ULL << m); ++mask) {
@@ -76,8 +75,7 @@ std::size_t enumerate_graphs_modulo_iso(
     const std::function<bool(const Graph&)>& fn, ThreadPool* pool) {
   const std::vector<Edge> all_edges = all_possible_edges(n);
   const std::uint64_t space = 1ULL << all_edges.size();
-  WM_TRACE_SCOPE("enumerate.modulo_iso");
-  WM_TIME_SCOPE("enumerate.scan");
+  WM_SCOPE("enumerate.scan");
   obs::ProgressTask progress("enumerate.scan", space);
   // The per-key minimum is a pure function of the scanned family, so the
   // pooled scan streams the sequential first-seen representatives

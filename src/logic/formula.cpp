@@ -15,6 +15,12 @@ std::size_t mix(std::size_t seed, std::size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+/// The Variant whose signature has `a`'s '*' components: the enumerators
+/// are ordered so that bit 0 is "in is *" and bit 1 "out is *".
+int shape_of(Modality a) {
+  return (a.in == 0 ? 1 : 0) + (a.out == 0 ? 2 : 0);
+}
+
 [[noreturn]] void die(const char* what) {
   std::fprintf(stderr, "wm::Formula: %s\n", what);
   std::abort();
@@ -49,10 +55,21 @@ Formula Formula::make(Node&& n) {
   h = mix(h, static_cast<std::size_t>(n.grade));
   int depth = 0;
   std::size_t size = 1;
+  if (n.kind == Kind::Prop) n.max_prop = n.prop;
+  if (n.kind == Kind::Diamond || n.kind == Kind::Box) {
+    n.graded = n.kind == Kind::Diamond && n.grade >= 2;
+    n.port_hi = std::max(n.alpha.in, n.alpha.out);
+    n.shapes = static_cast<std::uint8_t>(1u << shape_of(n.alpha));
+  }
   for (const Formula& k : n.kids) {
-    h = mix(h, k.hash());
-    depth = std::max(depth, k.modal_depth());
-    size += k.size();
+    const Node& kid = *k.node_;
+    h = mix(h, kid.hash);
+    depth = std::max(depth, kid.depth);
+    size += kid.size;
+    n.graded = n.graded || kid.graded;
+    n.max_prop = std::max(n.max_prop, kid.max_prop);
+    n.port_hi = std::max(n.port_hi, kid.port_hi);
+    n.shapes |= kid.shapes;
   }
   if (n.kind == Kind::Diamond || n.kind == Kind::Box) ++depth;
   n.depth = depth;
@@ -162,47 +179,11 @@ int Formula::grade() const {
   return node_->grade;
 }
 
-bool Formula::is_graded() const {
-  if (kind() == Kind::Diamond && node_->grade >= 2) return true;
-  for (const Formula& k : node_->kids) {
-    if (k.is_graded()) return true;
-  }
-  return false;
-}
-
 bool Formula::in_signature(Variant variant, int delta) const {
-  if (kind() == Kind::Diamond || kind() == Kind::Box) {
-    const Modality a = node_->alpha;
-    const bool in_star = a.in == 0, out_star = a.out == 0;
-    bool ok = false;
-    switch (variant) {
-      case Variant::PlusPlus: ok = !in_star && !out_star; break;
-      case Variant::MinusPlus: ok = in_star && !out_star; break;
-      case Variant::PlusMinus: ok = !in_star && out_star; break;
-      case Variant::MinusMinus: ok = in_star && out_star; break;
-    }
-    if (!ok || a.in > delta || a.out > delta) return false;
-  }
-  if (kind() == Kind::Prop && node_->prop > delta) return false;
-  for (const Formula& k : node_->kids) {
-    if (!k.in_signature(variant, delta)) return false;
-  }
-  return true;
-}
-
-int Formula::max_prop() const {
-  int m = kind() == Kind::Prop ? node_->prop : 0;
-  for (const Formula& k : node_->kids) m = std::max(m, k.max_prop());
-  return m;
-}
-
-int Formula::max_port() const {
-  int m = 0;
-  if (kind() == Kind::Diamond || kind() == Kind::Box) {
-    m = std::max(node_->alpha.in, node_->alpha.out);
-  }
-  for (const Formula& k : node_->kids) m = std::max(m, k.max_port());
-  return m;
+  // Propositions are >= 1, so max_prop == 0 means there are none.
+  return (node_->shapes & ~(1u << static_cast<int>(variant))) == 0 &&
+         node_->port_hi <= delta &&
+         (node_->max_prop == 0 || node_->max_prop <= delta);
 }
 
 bool operator==(const Formula& a, const Formula& b) {

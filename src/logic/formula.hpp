@@ -10,8 +10,10 @@
 // Theorem 2 compiler.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,16 +86,16 @@ class Formula {
 
   /// True if some diamond has grade >= 2 — i.e. the formula needs a
   /// graded logic (GML / GMML) rather than ML / MML.
-  bool is_graded() const;
+  bool is_graded() const { return node_->graded; }
 
   /// True if every modality fits the signature I^Delta_{a,b}: components
   /// are '*' exactly where the variant demands and port numbers <= delta.
   bool in_signature(Variant variant, int delta) const;
 
   /// Largest proposition index used (0 if none).
-  int max_prop() const;
+  int max_prop() const { return node_->max_prop; }
   /// Largest port number mentioned in any modality (0 if none).
-  int max_port() const;
+  int max_port() const { return std::max(0, node_->port_hi); }
 
   std::string to_string() const;
 
@@ -111,6 +113,12 @@ class Formula {
     int depth = 0;
     std::size_t size = 1;
     std::size_t hash = 0;
+    // Attributes of the whole subformula, set once by make() from the
+    // node and its kids, so the reads above are O(1) on any DAG.
+    bool graded = false;
+    int max_prop = 0;
+    int port_hi = std::numeric_limits<int>::min();  // largest modality port
+    std::uint8_t shapes = 0;  // bit v: some modality has Variant v's shape
   };
   explicit Formula(std::shared_ptr<const Node> n) : node_(std::move(n)) {}
   static Formula make(Node&& n);

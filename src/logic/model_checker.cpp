@@ -98,7 +98,7 @@ const Bitset& eval_bits(const KripkeModel& k, const Formula& f, Memo& memo) {
 }  // namespace
 
 Bitset model_check_bits(const KripkeModel& k, const Formula& phi) {
-  WM_TIME_SCOPE("modelcheck.check");
+  WM_SCOPE("modelcheck.check");
   WM_COUNT(modelcheck.checks);
   Memo memo;
   eval_bits(k, phi, memo);

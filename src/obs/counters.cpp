@@ -1,5 +1,7 @@
 #include "obs/counters.hpp"
 
+#include "obs/json_escape.hpp"
+
 namespace wm::obs {
 
 namespace {
@@ -52,7 +54,7 @@ std::string counters_json(CounterKind kind) {
     if (!first) out += ", ";
     first = false;
     out += '"';
-    out += name;
+    append_json_escaped(out, name);
     out += "\": ";
     out += std::to_string(value);
   }

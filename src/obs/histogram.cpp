@@ -1,8 +1,10 @@
 #include "obs/histogram.hpp"
 
+#include "obs/json_escape.hpp"
+
 #include <bit>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace wm::obs {
 
@@ -140,16 +142,26 @@ void HistogramRegistry::reset() {
 std::string timings_json() {
   std::string out = "{";
   bool first = true;
-  char buf[160];
+  const auto field = [&out](const char* key, double v) {
+    // Any microsecond count of a uint64 nanosecond duration prints in
+    // at most 21 characters as %.3f (to_chars' fixed form, same text).
+    char num[32];
+    out += key;
+    out.append(num, std::to_chars(num, num + sizeof num, v,
+                                  std::chars_format::fixed, 3)
+                        .ptr);
+  };
   for (const auto& [name, s] : histograms().snapshot()) {
     if (!first) out += ", ";
     first = false;
-    std::snprintf(buf, sizeof buf,
-                  "\"%s\": {\"count\": %llu, \"p50_us\": %.3f, "
-                  "\"p90_us\": %.3f, \"p99_us\": %.3f, \"max_us\": %.3f}",
-                  name.c_str(), static_cast<unsigned long long>(s.count),
-                  s.p50_us, s.p90_us, s.p99_us, s.max_us);
-    out += buf;
+    out += '"';
+    append_json_escaped(out, name);
+    out += "\": {\"count\": " + std::to_string(s.count);
+    field(", \"p50_us\": ", s.p50_us);
+    field(", \"p90_us\": ", s.p90_us);
+    field(", \"p99_us\": ", s.p99_us);
+    field(", \"max_us\": ", s.max_us);
+    out += '}';
   }
   out += "}";
   return out;

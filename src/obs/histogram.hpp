@@ -4,7 +4,7 @@
 // bucket i holds every duration d with bit_width(d) == i, i.e. the
 // range [2^(i-1), 2^i - 1] (bucket 0 holds exactly 0 ns). Recording is
 // one relaxed fetch_add into a per-thread shard — no locks, no
-// allocation — so WM_TIME_SCOPE is safe in hot paths and under TSan.
+// allocation — so WM_SCOPE is safe in hot paths and under TSan.
 // Reading merges the shards into a Summary (count / p50 / p90 / p99 /
 // max): percentiles are bucket upper bounds, deterministic given the
 // recorded multiset; the max is tracked exactly.
@@ -14,7 +14,10 @@
 // thread count, so they are reported (the "timings" section of every
 // BENCH_*.json) but must never enter the work-counter regression gate.
 //
-// Configure with -DWM_OBS=OFF to compile WM_TIME_SCOPE out entirely.
+// WM_SCOPE("layer.phase") is the one phase primitive: it always records
+// the block's duration here and, while a trace is armed (obs/trace.hpp),
+// also emits a span of the same name. Configure with -DWM_OBS=OFF to
+// compile it out entirely.
 #pragma once
 
 #include <array>
@@ -25,6 +28,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+
+#include "obs/trace.hpp"
 
 namespace wm::obs {
 
@@ -97,7 +102,7 @@ class Histogram {
 
 /// Process-wide histogram registry, mirroring the counter Registry:
 /// references are stable for the process lifetime, lookup is
-/// mutex-protected and cached per call site by the WM_TIME_SCOPE macro.
+/// mutex-protected and cached per call site by the WM_SCOPE macro.
 class HistogramRegistry {
  public:
   static HistogramRegistry& instance();
@@ -130,23 +135,30 @@ inline HistogramRegistry& histograms() { return HistogramRegistry::instance(); }
 /// "{}" when nothing was recorded (e.g. under -DWM_OBS=OFF).
 std::string timings_json();
 
-/// RAII duration sample: records the scope's lifetime into `h` on exit.
-/// Usually spelled WM_TIME_SCOPE("name").
-class TimeScope {
+/// RAII phase scope, usually spelled WM_SCOPE("layer.phase"). Reads the
+/// steady clock once at entry and once at exit, records the duration
+/// into `h`, and emits a span named `name` if a trace was armed at entry.
+class Scope {
  public:
-  explicit TimeScope(Histogram& h) noexcept
-      : h_(h), begin_(std::chrono::steady_clock::now()) {}
-  ~TimeScope() {
+  Scope(Histogram& h, std::string_view name) noexcept
+      : h_(h),
+        name_(name),
+        traced_(trace_enabled()),
+        begin_(std::chrono::steady_clock::now()) {}
+  ~Scope() {
+    const auto end = std::chrono::steady_clock::now();
     h_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - begin_)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin_)
             .count()));
+    if (traced_) trace_emit(name_, begin_, end);
   }
-  TimeScope(const TimeScope&) = delete;
-  TimeScope& operator=(const TimeScope&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
  private:
   Histogram& h_;
+  std::string_view name_;
+  bool traced_;
   std::chrono::steady_clock::time_point begin_;
 };
 
@@ -154,22 +166,20 @@ class TimeScope {
 
 #if !defined(WM_OBS_DISABLED)
 
-#define WM_TIME_CONCAT_IMPL(a, b) a##b
-#define WM_TIME_CONCAT(a, b) WM_TIME_CONCAT_IMPL(a, b)
-
-/// Samples the enclosing block's duration into the named histogram:
-/// WM_TIME_SCOPE("decision.decide"). Name is a quoted dotted string.
-#define WM_TIME_SCOPE(name)                                              \
-  static ::wm::obs::Histogram& WM_TIME_CONCAT(wm_obs_hist_site_,         \
-                                              __LINE__) =                \
-      ::wm::obs::histograms().histogram(name);                           \
-  ::wm::obs::TimeScope WM_TIME_CONCAT(wm_obs_time_scope_, __LINE__)(     \
-      WM_TIME_CONCAT(wm_obs_hist_site_, __LINE__))
+/// Times (and, under WM_TRACE, traces) the rest of the enclosing block
+/// as the phase `name`, a quoted dotted string: WM_SCOPE("decision.decide").
+/// The histogram lookup runs once per call site; one scope per block.
+#define WM_SCOPE(name)                                                  \
+  ::wm::obs::Scope wm_obs_scope(                                        \
+      []() -> ::wm::obs::Histogram& {                                   \
+        static ::wm::obs::Histogram& site =                             \
+            ::wm::obs::histograms().histogram(name);                    \
+        return site;                                                    \
+      }(),                                                              \
+      name)
 
 #else  // WM_OBS_DISABLED
 
-#define WM_TIME_SCOPE(name) \
-  do {                      \
-  } while (0)
+#define WM_SCOPE(name) ((void)0)
 
 #endif  // WM_OBS_DISABLED

@@ -24,7 +24,7 @@
 //
 // The *request-id context* is a thread-local set by RequestIdScope for
 // the duration of one served request. Log lines emitted on that thread
-// pick it up as "rid", and WM_TRACE_SCOPE spans emitted inside the
+// pick it up as "rid", and WM_SCOPE spans emitted inside the
 // scope carry it as a trace arg — so an access-log line and the
 // Chrome-trace spans of the same request join on one id.
 //

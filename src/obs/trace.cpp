@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -54,12 +55,6 @@ std::uint32_t tid_for_current_thread(TraceState& s) {
 
 bool trace_enabled() noexcept {
   return g_active.load(std::memory_order_relaxed);
-}
-
-std::int64_t trace_now_us() noexcept {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 void trace_start(const std::string& path) {
@@ -119,12 +114,20 @@ void trace_init_from_env() {
   });
 }
 
-void trace_emit(std::string_view name, std::int64_t begin_us,
-                std::int64_t dur_us) {
+void trace_emit(std::string_view name,
+                std::chrono::steady_clock::time_point begin,
+                std::chrono::steady_clock::time_point end) {
   // The request-id context is read at emit time (scope exit), which is
   // still inside the handler's RequestIdScope — so every span of a
   // served request carries the same rid as its access-log line.
   const std::uint64_t rid = current_request_id();
+  const auto us = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               t.time_since_epoch())
+        .count();
+  };
+  const std::int64_t begin_us = us(begin);
+  const std::int64_t dur_us = us(end) - begin_us;
   TraceState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
   if (!s.active) return;  // trace stopped between scope entry and exit

@@ -1,4 +1,4 @@
-// Phase tracing: nestable RAII scopes emitting a Chrome
+// Phase tracing: nestable WM_SCOPE spans written as a Chrome
 // `trace_event`-format JSON file (load it in chrome://tracing or
 // https://ui.perfetto.dev).
 //
@@ -15,10 +15,12 @@
 // id as {"args": {"rid": N}}, so the Chrome-trace view of one served
 // request joins with its structured access-log line on that id.
 //
-// Configure with -DWM_OBS=OFF to compile WM_TRACE_SCOPE out entirely.
+// Spans come from WM_SCOPE (obs/histogram.hpp), which names one phase
+// for both its duration histogram and its span. Configure with
+// -DWM_OBS=OFF to compile it out entirely.
 #pragma once
 
-#include <cstdint>
+#include <chrono>
 #include <string>
 #include <string_view>
 
@@ -41,52 +43,11 @@ bool trace_stop();
 /// call can start the trace.
 void trace_init_from_env();
 
-/// Records one complete ("ph":"X") event [begin_us, begin_us + dur_us)
-/// on the calling thread's trace track. Usually used via TraceScope.
-void trace_emit(std::string_view name, std::int64_t begin_us,
-                std::int64_t dur_us);
-
-/// Current trace timestamp in microseconds (monotonic, arbitrary epoch).
-std::int64_t trace_now_us() noexcept;
-
-/// RAII phase scope: emits a complete event covering its own lifetime.
-/// Nesting works naturally — Chrome stacks overlapping events per tid.
-class TraceScope {
- public:
-  explicit TraceScope(std::string_view name) noexcept {
-    if (trace_enabled()) {
-      name_ = name;
-      begin_us_ = trace_now_us();
-      active_ = true;
-    }
-  }
-  ~TraceScope() {
-    if (active_) trace_emit(name_, begin_us_, trace_now_us() - begin_us_);
-  }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  std::string_view name_;
-  std::int64_t begin_us_ = 0;
-  bool active_ = false;
-};
+/// Records one complete ("ph":"X") event spanning [begin, end) on the
+/// calling thread's trace track, stamped with the current request id.
+/// Emitted by obs::Scope (WM_SCOPE, obs/histogram.hpp).
+void trace_emit(std::string_view name,
+                std::chrono::steady_clock::time_point begin,
+                std::chrono::steady_clock::time_point end);
 
 }  // namespace wm::obs
-
-#if !defined(WM_OBS_DISABLED)
-
-#define WM_OBS_CONCAT_IMPL(a, b) a##b
-#define WM_OBS_CONCAT(a, b) WM_OBS_CONCAT_IMPL(a, b)
-
-/// Names the enclosing block as a trace phase: WM_TRACE_SCOPE("decision").
-#define WM_TRACE_SCOPE(name) \
-  ::wm::obs::TraceScope WM_OBS_CONCAT(wm_obs_trace_scope_, __LINE__)(name)
-
-#else  // WM_OBS_DISABLED
-
-#define WM_TRACE_SCOPE(name) \
-  do {                       \
-  } while (0)
-
-#endif  // WM_OBS_DISABLED

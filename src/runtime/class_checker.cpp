@@ -5,7 +5,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "obs/trace.hpp"
 
 namespace wm {
 
@@ -36,8 +35,7 @@ ClassCheckReport check_class_invariance(const StateMachine& m,
     throw std::invalid_argument(
         "check_class_invariance: requires a Vector-mode machine");
   }
-  WM_TRACE_SCOPE("classcheck");
-  WM_TIME_SCOPE("classcheck.run");
+  WM_SCOPE("classcheck.run");
   WM_COUNT(classcheck.runs);
   const Graph& g = p.graph();
   const int n = g.num_nodes();

@@ -7,7 +7,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "obs/trace.hpp"
 #include "util/cancel.hpp"
 
 namespace wm {
@@ -92,8 +91,7 @@ ExecutionResult execute_with_states(const StateMachine& m,
                                     std::vector<Value> initial,
                                     ExecutionContext& ctx,
                                     const ExecutionOptions& options) {
-  WM_TRACE_SCOPE("engine.execute");
-  WM_TIME_SCOPE("engine.execute");
+  WM_SCOPE("engine.execute");
   const Graph& g = p.graph();
   const int n = g.num_nodes();
   const AlgebraicClass cls = m.algebraic_class();

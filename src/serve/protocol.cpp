@@ -473,7 +473,7 @@ void count_cache_outcome(const char* op, bool hit, RequestObs& robs) {
 
 std::string handle_classify(MemoCache& cache, const ClassifyRequest& r,
                             const CancelToken* cancel, RequestObs& robs) {
-  WM_TIME_SCOPE("serve.classify");
+  WM_SCOPE("serve.classify");
   bump_work("serve.requests.classify");
   const Graph& g = r.numbering.graph();
   const int delta = g.max_degree();
@@ -517,7 +517,7 @@ std::string handle_classify(MemoCache& cache, const ClassifyRequest& r,
 
 std::string handle_modelcheck(MemoCache& cache, const ModelcheckRequest& r,
                               const CancelToken* cancel, RequestObs& robs) {
-  WM_TIME_SCOPE("serve.modelcheck");
+  WM_SCOPE("serve.modelcheck");
   bump_work("serve.requests.modelcheck");
   const int n = r.model.num_states();
   // Key: normalised formula text + the model's complete certificate.
@@ -558,7 +558,7 @@ std::string handle_modelcheck(MemoCache& cache, const ModelcheckRequest& r,
 
 std::string handle_run(MemoCache& cache, const RunRequest& r,
                        const CancelToken* cancel, RequestObs& robs) {
-  WM_TIME_SCOPE("serve.run");
+  WM_SCOPE("serve.run");
   bump_work("serve.requests.run");
   const Graph& g = r.numbering.graph();
   const int n = g.num_nodes();
@@ -643,7 +643,7 @@ std::string handle_run(MemoCache& cache, const RunRequest& r,
 
 std::string handle_canon(MemoCache& cache, const CanonRequest& r,
                          const CancelToken* cancel, RequestObs& robs) {
-  WM_TIME_SCOPE("serve.canon");
+  WM_SCOPE("serve.canon");
   bump_work("serve.requests.canon");
   // Computing the certificate IS the work here, so the key is the
   // normalised input encoding (exact-repeat cache) and the blob is the
@@ -712,7 +712,7 @@ std::string window_json(double window_secs) {
 }
 
 std::string handle_stats(const MemoCache& cache, const ServiceConfig& cfg) {
-  WM_TIME_SCOPE("serve.stats");
+  WM_SCOPE("serve.stats");
   bump_work("serve.requests.stats");
   const MemoCache::Stats cs = cache.stats();
   return "{\"counters\": {\"work\": " +
@@ -730,7 +730,7 @@ std::string handle_stats(const MemoCache& cache, const ServiceConfig& cfg) {
 }
 
 std::string handle_metrics(const MemoCache& cache, const ServiceConfig& cfg) {
-  WM_TIME_SCOPE("serve.metrics");
+  WM_SCOPE("serve.metrics");
   // Bump before rendering so the exposition's serve_requests_total
   // includes this very request — scrape totals then match requests sent.
   bump_work("serve.requests.metrics");
@@ -747,12 +747,13 @@ Service::Service(const ServiceConfig& cfg)
     : cfg_(cfg), cache_(cfg.cache_capacity) {}
 
 std::string Service::handle_line(std::string_view line) {
-  WM_TIME_SCOPE("serve.request");
   // Request-id context: one monotone id per line, bound to this thread
   // for the whole handling frame so log lines and WM_TRACE spans emitted
-  // underneath (engine, solvability, memo-cache) all carry it.
+  // underneath (engine, solvability, memo-cache) all carry it. The
+  // request's own scope opens inside it, so its span carries the id too.
   const std::uint64_t rid = obs::next_request_id();
   obs::RequestIdScope rid_scope(rid);
+  WM_SCOPE("serve.request");
   const auto begin = std::chrono::steady_clock::now();
   RequestObs robs;
   Request req;

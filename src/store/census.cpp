@@ -68,7 +68,7 @@ CensusResult run_census(const CensusSpace& space, const std::string& store_dir,
   if (opts.checkpoint_path.empty()) {
     throw std::invalid_argument("census needs a checkpoint path");
   }
-  WM_TIME_SCOPE("census.run");
+  WM_SCOPE("census.run");
 
   Cumulative cum;
   CensusResult result;

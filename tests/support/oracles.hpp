@@ -40,6 +40,11 @@
 //    (logic/kripke.hpp) must agree with it on modalities, every successor
 //    list, to_string, the canonical certificate and the model checker.
 //    eval_naive runs on either model. Off the obs counters.
+//  - is_graded_reference / in_signature_reference / max_prop_reference /
+//    max_port_reference: the pre-attribute Formula helpers, each a
+//    recursive walk over every root-to-leaf path of the DAG (exponential
+//    on shared subterms). The O(1) reads Formula::make sets up must
+//    return the same answers.
 //  - find_isomorphism / are_isomorphic / is_isomorphism: an explicit
 //    isomorphism search for small graphs — joint colour refinement, then
 //    refinement-pruned backtracking; beyond 8 nodes it composes the two
@@ -64,6 +69,54 @@
 #include "obs/counters.hpp"
 
 namespace wm {
+
+inline bool is_graded_reference(const Formula& f) {
+  if (f.kind() == Formula::Kind::Diamond && f.grade() >= 2) return true;
+  for (std::size_t i = 0; i < f.num_children(); ++i) {
+    if (is_graded_reference(f.child(i))) return true;
+  }
+  return false;
+}
+
+inline bool in_signature_reference(const Formula& f, Variant variant,
+                                   int delta) {
+  if (f.kind() == Formula::Kind::Diamond || f.kind() == Formula::Kind::Box) {
+    const Modality a = f.modality();
+    const bool in_star = a.in == 0, out_star = a.out == 0;
+    bool ok = false;
+    switch (variant) {
+      case Variant::PlusPlus: ok = !in_star && !out_star; break;
+      case Variant::MinusPlus: ok = in_star && !out_star; break;
+      case Variant::PlusMinus: ok = !in_star && out_star; break;
+      case Variant::MinusMinus: ok = in_star && out_star; break;
+    }
+    if (!ok || a.in > delta || a.out > delta) return false;
+  }
+  if (f.kind() == Formula::Kind::Prop && f.prop_id() > delta) return false;
+  for (std::size_t i = 0; i < f.num_children(); ++i) {
+    if (!in_signature_reference(f.child(i), variant, delta)) return false;
+  }
+  return true;
+}
+
+inline int max_prop_reference(const Formula& f) {
+  int m = f.kind() == Formula::Kind::Prop ? f.prop_id() : 0;
+  for (std::size_t i = 0; i < f.num_children(); ++i) {
+    m = std::max(m, max_prop_reference(f.child(i)));
+  }
+  return m;
+}
+
+inline int max_port_reference(const Formula& f) {
+  int m = 0;
+  if (f.kind() == Formula::Kind::Diamond || f.kind() == Formula::Kind::Box) {
+    m = std::max(f.modality().in, f.modality().out);
+  }
+  for (std::size_t i = 0; i < f.num_children(); ++i) {
+    m = std::max(m, max_port_reference(f.child(i)));
+  }
+  return m;
+}
 
 template <class Model>
 std::vector<bool> eval_naive(const Model& k, const Formula& f) {

@@ -4,6 +4,10 @@
 
 #include <set>
 
+#include "logic/random_formula.hpp"
+#include "support/oracles.hpp"
+#include "util/rng.hpp"
+
 namespace wm {
 namespace {
 
@@ -75,6 +79,60 @@ TEST(Formula, MaxPropAndPort) {
       Formula::conj(Formula::diamond({2, 3}, Formula::prop(5)), Formula::prop(1));
   EXPECT_EQ(f.max_prop(), 5);
   EXPECT_EQ(f.max_port(), 3);
+}
+
+TEST(Formula, AttributeReadsMatchTheTreeWalks) {
+  // Random formulas of every variant, graded or not, and conjunctions
+  // mixing two variants, against the old recursive walks at deltas
+  // below, at and above the ports and propositions in use.
+  const Variant variants[] = {Variant::PlusPlus, Variant::MinusPlus,
+                              Variant::PlusMinus, Variant::MinusMinus};
+  Rng rng(2512);
+  const auto random_of = [&rng](Variant v, int i) {
+    RandomFormulaOptions opts;
+    opts.variant = v;
+    opts.delta = 1 + i % 3;
+    opts.num_props = 1 + i % 4;
+    opts.max_depth = i % 4;
+    opts.graded = i % 2 == 1;
+    return random_formula(rng, opts);
+  };
+  for (const Variant made : variants) {
+    for (int i = 0; i < 200; ++i) {
+      Formula f = random_of(made, i);
+      if (i % 5 == 4) f = Formula::conj(f, random_of(variants[i % 4], i / 5));
+      EXPECT_EQ(f.is_graded(), is_graded_reference(f)) << f;
+      EXPECT_EQ(f.max_prop(), max_prop_reference(f)) << f;
+      EXPECT_EQ(f.max_port(), max_port_reference(f)) << f;
+      for (const Variant v : variants) {
+        for (int delta = -2; delta <= 4; ++delta) {
+          EXPECT_EQ(f.in_signature(v, delta),
+                    in_signature_reference(f, v, delta))
+              << f << " variant " << variant_name(v) << " delta " << delta;
+        }
+      }
+    }
+  }
+  // No modality, no proposition, negative delta.
+  EXPECT_TRUE(Formula::tru().in_signature(Variant::PlusPlus, -1));
+  EXPECT_FALSE(Formula::prop(1).in_signature(Variant::MinusMinus, -1));
+  EXPECT_FALSE(Formula::diamond({0, 0}, Formula::tru())
+                   .in_signature(Variant::MinusMinus, -1));
+  EXPECT_EQ(Formula::tru().max_port(), 0);
+  EXPECT_EQ(Formula::tru().max_prop(), 0);
+}
+
+TEST(Formula, AttributeReadsIgnoreSharing) {
+  // 65 nodes, 2^64 root-to-leaf paths: a per-path walk never returns.
+  Formula f = Formula::diamond({1, 2}, Formula::prop(3), 2);
+  for (int i = 0; i < 64; ++i) f = Formula::conj(f, f);
+  EXPECT_TRUE(f.is_graded());
+  EXPECT_EQ(f.max_prop(), 3);
+  EXPECT_EQ(f.max_port(), 2);
+  EXPECT_TRUE(f.in_signature(Variant::PlusPlus, 3));
+  EXPECT_FALSE(f.in_signature(Variant::PlusPlus, 2));  // q3 > delta
+  EXPECT_FALSE(f.in_signature(Variant::MinusPlus, 3));
+  EXPECT_EQ(f.modal_depth(), 1);
 }
 
 TEST(Formula, Printing) {

@@ -175,8 +175,8 @@ TEST(ObsSpeculation, SuppressionIsPerThread) {
 
 TEST(ObsTrace, DisabledByDefaultAndScopesAreInert) {
   EXPECT_FALSE(obs::trace_enabled());
-  { WM_TRACE_SCOPE("obstest.inert"); }  // must not crash or emit
-  EXPECT_FALSE(obs::trace_stop());      // nothing active to flush
+  { WM_SCOPE("obstest.inert"); }   // must not crash or emit
+  EXPECT_FALSE(obs::trace_stop());  // nothing active to flush
 }
 
 TEST(ObsTrace, NestedScopesProduceWellFormedChromeTraceJson) {
@@ -187,16 +187,16 @@ TEST(ObsTrace, NestedScopesProduceWellFormedChromeTraceJson) {
   obs::trace_start(path);
   ASSERT_TRUE(obs::trace_enabled());
   {
-    WM_TRACE_SCOPE("outer");
+    WM_SCOPE("outer");
     {
-      WM_TRACE_SCOPE("inner");
-      WM_TRACE_SCOPE("needs escaping \"quotes\" and \\slashes\\ and\nnewline");
+      WM_SCOPE("inner");
+      { WM_SCOPE("needs escaping \"quotes\" and \\slashes\\ and\nnewline"); }
     }
   }
   // A scope on a pool worker lands on its own tid track.
   {
     ThreadPool pool(2);
-    pool.parallel_for(0, 4, [](std::uint64_t) { WM_TRACE_SCOPE("pooled"); });
+    pool.parallel_for(0, 4, [](std::uint64_t) { WM_SCOPE("pooled"); });
   }
   ASSERT_TRUE(obs::trace_stop());
   EXPECT_FALSE(obs::trace_enabled());
@@ -318,14 +318,14 @@ TEST(ObsHistogram, ShardMergeMatchesSequentialRecording) {
   EXPECT_EQ(a.count, kSamples);
 }
 
-TEST(ObsHistogram, TimeScopeRecordsOneSampleAndTimingsJsonIsWellFormed) {
+TEST(ObsHistogram, ScopeRecordsOneSampleAndTimingsJsonIsWellFormed) {
 #ifdef WM_OBS_DISABLED
   GTEST_SKIP() << "observability compiled out (-DWM_OBS=OFF)";
 #else
   obs::Histogram& h = obs::histograms().histogram("obstest.hist.scope");
   h.reset();
   const std::uint64_t before = h.summary().count;
-  { WM_TIME_SCOPE("obstest.hist.scope"); }
+  { WM_SCOPE("obstest.hist.scope"); }
   EXPECT_EQ(h.summary().count, before + 1);
 
   const std::string json = obs::timings_json();
@@ -333,6 +333,36 @@ TEST(ObsHistogram, TimeScopeRecordsOneSampleAndTimingsJsonIsWellFormed) {
   EXPECT_NE(json.find("\"obstest.hist.scope\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"p99_us\""), std::string::npos) << json;
 #endif
+}
+
+TEST(ObsHistogram, TimingsJsonEscapesAndKeepsEveryName) {
+  // A name with JSON metacharacters, and one longer than any fixed-size
+  // line buffer, must both come back verbatim from a JSON parser; a
+  // counter under the quoted name must too.
+  const std::string quoted = "obstest.hist.\"q\" \\b\\\nnewline";
+  const std::string longer = "obstest.hist." + std::string(187, 'x');
+  ASSERT_EQ(longer.size(), 200u);
+  for (const std::string& name : {quoted, longer}) {
+    obs::Histogram& h = obs::histograms().histogram(name);
+    h.reset();
+    h.record(1500);
+  }
+  const serve::Json timings = serve::parse_json(obs::timings_json());
+  for (const std::string& name : {quoted, longer}) {
+    const serve::Json* entry = timings.find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    ASSERT_NE(entry->find("count"), nullptr) << name;
+    EXPECT_EQ(entry->find("count")->as_int(), 1) << name;
+    ASSERT_NE(entry->find("max_us"), nullptr) << name;
+    EXPECT_DOUBLE_EQ(entry->find("max_us")->as_double(), 1.5) << name;
+  }
+  obs::Counter& c = obs::registry().counter(quoted, CounterKind::kWork);
+  c.reset();
+  c.add(2);
+  const serve::Json work =
+      serve::parse_json(obs::counters_json(CounterKind::kWork));
+  ASSERT_NE(work.find(quoted), nullptr);
+  EXPECT_EQ(work.find(quoted)->as_int(), 2);
 }
 
 // --- Run manifest ----------------------------------------------------------
@@ -700,9 +730,9 @@ TEST(ObsTrace, SpansCarryTheRequestIdAsArgs) {
   obs::trace_start(path);
   {
     obs::RequestIdScope rid(4242);
-    WM_TRACE_SCOPE("obstest.rid.inner");
+    WM_SCOPE("obstest.rid.inner");
   }
-  { WM_TRACE_SCOPE("obstest.noctx.span"); }
+  { WM_SCOPE("obstest.noctx.span"); }
   ASSERT_TRUE(obs::trace_stop());
   std::ifstream in(path);
   std::stringstream ss;

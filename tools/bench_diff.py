@@ -32,21 +32,6 @@ Rules, per bench file present in BASELINE_DIR:
   * --exact: any work-counter difference at all .... FAIL (used by CI to
              assert cross-thread-count determinism of the same build)
 
-Per-counter overrides: a baseline json may carry a top-level "gate"
-object tuning individual work counters:
-
-  "gate": {"canonical.refine_rounds": {"rel_tol": 15.0},
-           "census.probe_work":       {"gate": false}}
-
-  * rel_tol: PCT ........ this counter's own growth threshold, replacing
-                          the global --threshold AND --exact for it (a
-                          counter that is deterministic per build but
-                          drifts legitimately across builds).
-  * gate: false ......... never gated -- not even under --exact; drift is
-                          surfaced as a note. For counters kept only as
-                          workload descriptors.
-A "gate" entry naming a counter absent from the baseline's metrics.work
-FAILs: a typo must not silently ungate the counter it meant.
 And per bench file present only in CURRENT_DIR:
   * bench json with no matching baseline ........... FAIL (an ungated bench
                                                      is a silent coverage
@@ -104,39 +89,25 @@ def diff_sets(baseline, current, threshold, exact, allow_new=False):
         cur = current[fname]
         bwork = base["metrics"]["work"]
         cwork = cur["metrics"]["work"]
-        gate_cfg = base.get("gate") or {}
-        for key in sorted(set(gate_cfg) - set(bwork)):
-            failures.append(
-                f"{name}: gate override names unknown work counter '{key}' "
-                f"(typo? overrides must match metrics.work)")
         for key in sorted(bwork):
             bval = bwork[key]
-            cfg = gate_cfg.get(key) or {}
-            if cfg.get("gate") is False:
-                notes.append(
-                    f"{name}: '{key}' ungated by baseline "
-                    f"({bval} -> {cwork.get(key, 'absent')})")
-                continue
             if key not in cwork:
                 failures.append(
                     f"{name}: work counter '{key}' missing from current "
                     f"(baseline {bval})")
                 continue
             cval = cwork[key]
-            rel_tol = cfg.get("rel_tol")
-            if exact and rel_tol is None:
+            if exact:
                 if cval != bval:
                     failures.append(
                         f"{name}: '{key}' differs ({bval} -> {cval})")
                 continue
-            key_threshold = threshold if rel_tol is None else float(rel_tol)
-            limit = bval * (1.0 + key_threshold / 100.0)
+            limit = bval * (1.0 + threshold / 100.0)
             if cval > limit:
                 pct = (100.0 * (cval - bval) / bval) if bval else float("inf")
                 failures.append(
                     f"{name}: '{key}' regressed {bval} -> {cval} "
-                    f"(+{pct:.1f}%, threshold {key_threshold:.1f}%"
-                    f"{', per-counter' if rel_tol is not None else ''})")
+                    f"(+{pct:.1f}%, threshold {threshold:.1f}%)")
             elif cval < bval:
                 notes.append(f"{name}: '{key}' improved {bval} -> {cval}")
         for key in sorted(set(cwork) - set(bwork)):
@@ -208,7 +179,7 @@ def self_test():
     misfires. CI runs this so the gate itself is covered by the gate job."""
 
     def write_set(root, sub, work, wall=10.0, name="fake", manifest=None,
-                  timings=None, gate=None):
+                  timings=None):
         d = os.path.join(root, sub)
         os.makedirs(d, exist_ok=True)
         blob = {"name": name, "n": 4, "threads": 2, "wall_ms": wall,
@@ -218,8 +189,6 @@ def self_test():
             blob["manifest"] = manifest
         if timings is not None:
             blob["timings"] = timings
-        if gate is not None:
-            blob["gate"] = gate
         with open(os.path.join(d, f"BENCH_{name}.json"), "w") as f:
             json.dump(blob, f)
         return d
@@ -339,51 +308,6 @@ def self_test():
             rc = run_diff(a)
         checks.append(("sub-2x and zero-count p99 shifts stay silent",
                        rc == 0 and "p99" not in buf.getvalue()))
-        # Per-counter overrides: a baseline may widen one counter's
-        # tolerance (rel_tol) or ungate it entirely (gate: false) without
-        # loosening the gate for everything else in the bench.
-        a.baseline = write_set(
-            tmp, "gbase", work,
-            gate={"engine.rounds": {"rel_tol": 30.0}})
-        a.current = write_set(tmp, "gnear", {"engine.rounds": 125,
-                                             "decision.blocks": 40})
-        checks.append(("rel_tol override admits growth past the global "
-                       "threshold", run_diff(a) == 0))
-        a.current = write_set(tmp, "gfar", {"engine.rounds": 140,
-                                            "decision.blocks": 40})
-        checks.append(("rel_tol override still fails past its own bound",
-                       run_diff(a) == 1))
-        a.current = write_set(tmp, "gother", {"engine.rounds": 100,
-                                              "decision.blocks": 48})
-        checks.append(("rel_tol override does not loosen other counters",
-                       run_diff(a) == 1))
-        a.exact = True
-        a.current = write_set(tmp, "gexact", {"engine.rounds": 110,
-                                              "decision.blocks": 40})
-        checks.append(("rel_tol override replaces --exact for its counter",
-                       run_diff(a) == 0))
-        a.exact = False
-        a.baseline = write_set(
-            tmp, "ubase", work,
-            gate={"engine.rounds": {"gate": False}})
-        a.current = write_set(tmp, "uwild", {"engine.rounds": 9999,
-                                             "decision.blocks": 40})
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = run_diff(a)
-        checks.append(("gate:false never gates yet is noted",
-                       rc == 0 and "ungated by baseline" in buf.getvalue()))
-        a.exact = True
-        a.current = write_set(tmp, "udrop", {"decision.blocks": 40})
-        checks.append(("gate:false tolerates even a dropped counter "
-                       "under --exact", run_diff(a) == 0))
-        a.exact = False
-        a.baseline = write_set(
-            tmp, "tbase", work,
-            gate={"engine.runds": {"rel_tol": 30.0}})  # typo'd counter
-        a.current = write_set(tmp, "tcur", work)
-        checks.append(("gate override naming an unknown counter fails",
-                       run_diff(a) == 1))
 
     bad = [label for label, ok in checks if not ok]
     for label, ok in checks:
